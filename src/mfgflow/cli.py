@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .eikonal import extract_target, solve_eikonal
+from .eikonal import TargetSet, extract_target, solve_eikonal
 from .elliptic import ModelSpec, SolverError, pde_residual, solve_linear, solve_payoff
 from .flow import FlowConfig, run_flow, select_lowest_income
 from .grid import integrate, make_grid
@@ -401,29 +401,23 @@ def cmd_validate(rc: RunConfig) -> int:
 
     target = np.zeros(grid.shape, dtype=bool)
     target[-1] = True
-    v = solve_eikonal(grid, extract_target_from_mask(target))
+    v = solve_eikonal(grid, TargetSet(mask=target, zeta=0.0))
     exact = 1.0 - grid.axes[0]
-    check("1D distance field", np.abs(v.values - exact).max() <= 2 * grid.spacing)
+    check("1D distance field", np.abs(v.values - exact).max() <= 1e-12)
 
     errs = []
     for n in (40, 80):
         g2 = make_grid(2, n)
         mask = np.zeros(g2.shape, dtype=bool)
         mask[-1, -1] = True
-        v2 = solve_eikonal(g2, extract_target_from_mask(mask))
+        v2 = solve_eikonal(g2, TargetSet(mask=mask, zeta=0.0))
         X, Y = g2.coords()
         exact2 = np.hypot(X - 1.0, Y - 1.0)
         errs.append(np.abs(v2.values - exact2).max())
-    check("2D distance error shrinks under refinement", errs[1] < errs[0],
+    check("2D distance field exact at every n", max(errs) <= 1e-12,
           f"errors={[f'{e:.2e}' for e in errs]}")
 
     return EXIT_OK if all(checks) else EXIT_SOLVER
-
-
-def extract_target_from_mask(mask):
-    from .eikonal import TargetSet
-
-    return TargetSet(mask=mask, zeta=0.0)
 
 
 _COMMANDS = {

@@ -87,8 +87,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "nonlinear"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.mu <= 0.0:
-            raise ValueError("viscosity mu must be positive")
+        if not np.isfinite(self.mu) or self.mu <= 0.0:
+            raise ValueError("viscosity mu must be positive and finite")
+        for name in ("P", "f", "K"):
+            coef = getattr(self, name)
+            if coef is not None and not np.isfinite(field_values(coef)).all():
+                raise ValueError(f"{name} must be finite everywhere")
         if self.kind == "linear":
             if self.P is None or self.f is None:
                 raise ValueError("linear model needs P and f")

@@ -19,7 +19,15 @@ import numpy as np
 from .eikonal import extract_target, solve_eikonal
 from .elliptic import ModelSpec, solve_payoff
 from .grid import Grid, field_values, integrate
-from .measures import Density, ScalarField
+from .measures import Density, ScalarField, support
+
+# The eikonal variant's target holds every node whose income lies within
+# this fraction of the current residual of the maximum: regions whose
+# income trails the maximum by less than the unresolved gap count as part
+# of the target instead of being dismantled by the distance selection.  A
+# roundoff-level tolerance measurably stalls on payoffs with several
+# separated maxima.
+TARGET_GAP_FRACTION = 0.7
 
 
 class EmptySelectionError(RuntimeError):
@@ -44,16 +52,9 @@ class FlowConfig:
 
     tau = None binds the residual tolerance to the grid spacing at run
     time.  fixed_eps disables the adaptive halving entirely: every step
-    uses that value and is accepted regardless of the residual.
-
-    target_gap_fraction controls how the eikonal variant extracts the
-    near-maximal target set before each distance solve: the level
-    tolerance is that fraction of the current residual, so regions whose
-    income trails the maximum by less than the unresolved gap count as
-    part of the target instead of being dismantled by the distance
-    selection.  None falls back to the roundoff-level tolerance of
-    extract_target (which measurably stalls on payoffs with several
-    separated maxima).
+    uses that value and is accepted regardless of the residual.  The
+    eikonal variant measures distance to every node whose income lies
+    within TARGET_GAP_FRACTION times the current residual of the maximum.
     """
 
     variant: str = "best_response"
@@ -61,9 +62,7 @@ class FlowConfig:
     eps_min: float = 1e-15
     max_outer: int = 100
     tau: float | None = None
-    support_rel_threshold: float = 1e-9
     fixed_eps: float | None = None
-    target_gap_fraction: float | None = 0.7
     keep_trajectory: bool = False
 
     def __post_init__(self):
@@ -118,8 +117,9 @@ def nash_gap(theta, m, rel_threshold: float = 1e-9) -> float:
     m_vals = field_values(m)
     if th.shape != m_vals.shape:
         raise ValueError("theta and m live on different grids")
-    mask = m_vals > rel_threshold * m_vals.max()
-    assert mask.any(), "normalized density cannot have empty support"
+    mask = support(m_vals, rel_threshold)
+    if not mask.any():
+        raise ValueError("m has empty support")
     return float(th.max() - th[mask].min())
 
 
@@ -255,7 +255,12 @@ def _grid_of(a, b) -> Grid:
     return grid
 
 
-def _attempt_step(m_vals, theta, v, model, grid, eps, variant, rel_thr, allow_overlap):
+def _distance_field(grid, theta, resid):
+    """Distance to the nodes within TARGET_GAP_FRACTION * resid of max theta."""
+    return solve_eikonal(grid, extract_target(theta, zeta=TARGET_GAP_FRACTION * resid))
+
+
+def _attempt_step(m_vals, theta, v, model, grid, eps, variant, allow_overlap):
     """One trial move of mass eps from the current iterate.
 
     Returns (m_new, theta_new, R_new); raises the selection and
@@ -274,7 +279,7 @@ def _attempt_step(m_vals, theta, v, model, grid, eps, variant, rel_thr, allow_ov
     if abs(total - 1.0) > 1e-12:
         m_new = m_new / total
     theta_new = solve_payoff(model, m_new, grid, theta0=theta)
-    return m_new, theta_new, nash_gap(theta_new, m_new, rel_thr)
+    return m_new, theta_new, nash_gap(theta_new, m_new)
 
 
 def flow_step(m: Density, model: ModelSpec, eps: float, variant: str = "best_response"):
@@ -294,9 +299,9 @@ def flow_step(m: Density, model: ModelSpec, eps: float, variant: str = "best_res
         return m, theta, gap
     v = None
     if variant == "eikonal":
-        v = solve_eikonal(grid, extract_target(theta, zeta=0.7 * gap))
+        v = _distance_field(grid, theta, gap)
     m_new, theta_new, r_new = _attempt_step(
-        m.values, theta, v, model, grid, eps, variant, 1e-9, allow_overlap=True
+        m.values, theta, v, model, grid, eps, variant, allow_overlap=True
     )
     return Density(np.maximum(m_new, 0.0), grid), theta_new, r_new
 
@@ -320,7 +325,7 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
     adaptive = cfg.fixed_eps is None
     m = m0.values.copy()
     theta = solve_payoff(model, m0, grid)
-    resid = nash_gap(theta, m, cfg.support_rel_threshold)
+    resid = nash_gap(theta, m)
     records = [
         IterationRecord(
             j=0,
@@ -341,10 +346,7 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
     while resid > tau and j < cfg.max_outer:
         v = None
         if cfg.variant == "eikonal":
-            zeta = None
-            if cfg.target_gap_fraction is not None:
-                zeta = cfg.target_gap_fraction * resid
-            v = solve_eikonal(grid, extract_target(theta, zeta=zeta))
+            v = _distance_field(grid, theta, resid)
         eps = cfg.eps0 if adaptive else cfg.fixed_eps
         halvings = 0
         trial = None
@@ -358,7 +360,6 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
                     grid,
                     eps,
                     cfg.variant,
-                    cfg.support_rel_threshold,
                     allow_overlap=not adaptive,
                 )
             except EmptySelectionError:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import ModelSpec
-from .grid import Grid, make_grid
+from .grid import Grid
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -157,7 +157,3 @@ def build_model(preset: Preset, grid: Grid, seed: int = 0, mu: float = 0.1) -> M
     if preset.kind == "linear":
         return ModelSpec.linear(mu=mu, P=preset.P, f=coef)
     return ModelSpec.nonlinear(mu=mu, K=coef)
-
-
-def default_grid(preset: Preset, n: int | None = None) -> Grid:
-    return make_grid(preset.dim, n)

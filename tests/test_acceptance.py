@@ -345,7 +345,7 @@ class TestCriterion9Properties:
             mask[idx] = True
             v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0))
             brute = np.min(np.abs(x[:, None] - x[idx][None, :]), axis=1)
-            ok &= np.abs(v.values - brute).max() <= 2 * grid.spacing
+            ok &= np.abs(v.values - brute).max() <= 1e-12
         errors = []
         for n in (25, 50, 100):
             g2 = make_grid(2, n)
@@ -354,8 +354,8 @@ class TestCriterion9Properties:
             v = solve_eikonal(g2, TargetSet(mask=mask, zeta=0.0))
             X, Y = g2.coords()
             errors.append(np.abs(v.values - np.hypot(X - 1, Y - 1)).max())
-        ok &= errors[0] > errors[1] > errors[2]
-        report(9, ok, "eikonal matches 1D brute force; 2D error shrinks under refinement")
+        ok &= max(errors) <= 1e-12
+        report(9, ok, "eikonal matches 1D brute force; 2D error at roundoff at every n")
         assert ok
 
 

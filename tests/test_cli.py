@@ -1,3 +1,5 @@
+import pytest
+
 from mfgflow.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
@@ -120,6 +122,14 @@ def test_bad_expression_exit_3(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("kind = linear\ndim = 1\nP = 0.5\nf = __import__('os')\n")
     assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_nonfinite_coefficient_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "pole.cfg"
+    cfg.write_text("kind = linear\ndim = 1\nP = 0.5\nf = 1/x\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "f must be finite" in capsys.readouterr().err
 
 
 def test_stress_command(tmp_path, capsys):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mfgflow
 from mfgflow import ScalarField, TargetSet, extract_target, make_grid, solve_eikonal
 
 
@@ -48,27 +53,24 @@ class TestExtractTarget:
             TargetSet(mask=np.zeros(grid.shape, dtype=bool), zeta=0.0)
 
 
+def brute_force_distance(grid, mask):
+    """min over target nodes of the Euclidean distance, node by node."""
+    coords = grid.coords()
+    diff = [c[..., None] - c[mask] for c in coords]
+    return np.min(np.sqrt(sum(d * d for d in diff)), axis=-1)
+
+
 class TestEikonal1D:
     def test_right_endpoint(self):
         grid = make_grid(1, 200)
         v = solve_eikonal(grid, target_from_indices(grid, [grid.n]))
-        assert np.abs(v.values - (1.0 - grid.axes[0])).max() <= grid.spacing
+        assert np.abs(v.values - (1.0 - grid.axes[0])).max() <= 1e-12
 
     def test_two_endpoints_kink(self):
         grid = make_grid(1, 200)
         v = solve_eikonal(grid, target_from_indices(grid, [0, grid.n]))
         exact = np.minimum(grid.axes[0], 1.0 - grid.axes[0])
-        assert np.abs(v.values - exact).max() <= grid.spacing
-
-    def test_matches_brute_force_on_random_targets(self):
-        grid = make_grid(1, 317)
-        rng = np.random.default_rng(21)
-        x = grid.axes[0]
-        for _ in range(10):
-            idx = rng.choice(grid.n + 1, size=rng.integers(1, 6), replace=False)
-            v = solve_eikonal(grid, target_from_indices(grid, idx))
-            brute = np.min(np.abs(x[:, None] - x[idx][None, :]), axis=1)
-            assert np.abs(v.values - brute).max() <= 2 * grid.spacing
+        assert np.abs(v.values - exact).max() <= 1e-12
 
     def test_zero_exactly_on_target(self):
         grid = make_grid(1, 100)
@@ -79,6 +81,21 @@ class TestEikonal1D:
         assert (v.values[off] > 0.0).all()
 
 
+@pytest.mark.parametrize("dim, n", [(1, 2), (1, 317), (2, 2), (2, 37), (2, 400)])
+def test_matches_brute_force_on_random_targets(dim, n):
+    # at most five targets: on the larger 2D grids most columns hold
+    # none, so the first pass is inf there and the second pass fills in
+    grid = make_grid(dim, n)
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        count = rng.integers(1, min(6, grid.num_nodes))
+        mask = np.zeros(grid.num_nodes, dtype=bool)
+        mask[rng.choice(grid.num_nodes, size=count, replace=False)] = True
+        mask = mask.reshape(grid.shape)
+        v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0))
+        assert np.abs(v.values - brute_force_distance(grid, mask)).max() <= 1e-12
+
+
 class TestEikonal2D:
     def test_corner_target_against_brute_force(self):
         grid = make_grid(2, 50)
@@ -87,21 +104,16 @@ class TestEikonal2D:
         v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0))
         X, Y = grid.coords()
         exact = np.hypot(X - 1.0, Y - 1.0)
-        dx = grid.spacing
-        # first-order fast marching with a point source
-        assert np.abs(v.values - exact).max() <= 4 * dx * (1 + abs(np.log(dx)))
-        assert (v.values >= exact - 1e-12).all()
+        assert np.abs(v.values - exact).max() <= 1e-12
 
-    def test_error_shrinks_under_refinement(self):
-        errors = []
+    def test_error_at_roundoff_under_refinement(self):
         for n in (25, 50, 100):
             grid = make_grid(2, n)
             mask = np.zeros(grid.shape, dtype=bool)
             mask[-1, -1] = True
             v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0))
             X, Y = grid.coords()
-            errors.append(np.abs(v.values - np.hypot(X - 1.0, Y - 1.0)).max())
-        assert errors[0] > errors[1] > errors[2]
+            assert np.abs(v.values - np.hypot(X - 1.0, Y - 1.0)).max() <= 1e-12
 
     def test_disconnected_targets(self):
         grid = make_grid(2, 40)
@@ -111,8 +123,16 @@ class TestEikonal2D:
         v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0))
         X, Y = grid.coords()
         exact = np.minimum(np.hypot(X, Y), np.hypot(X - 1.0, Y - 1.0))
-        dx = grid.spacing
-        assert np.abs(v.values - exact).max() <= 4 * dx * (1 + abs(np.log(dx)))
+        assert np.abs(v.values - exact).max() <= 1e-12
+
+    def test_geometric_ties_are_bit_equal(self):
+        # offsets (5, 0) and (3, 4) from the target are both 5 dx away;
+        # the farthest-first selection breaks such ties by income
+        grid = make_grid(2, 10)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[0, 0] = True
+        v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0)).values
+        assert v[5, 0] == v[3, 4] == v[4, 3] == v[0, 5]
 
     def test_one_lipschitz_between_neighbors(self):
         grid = make_grid(2, 40)
@@ -125,3 +145,22 @@ class TestEikonal2D:
         bound = (1.0 + 0.5 * dx) * dx
         assert np.abs(np.diff(v, axis=0)).max() <= bound
         assert np.abs(np.diff(v, axis=1)).max() <= bound
+
+
+def test_import_and_2d_solve_load_no_heavy_scipy_modules():
+    # scipy.ndimage alone adds about 0.1 s and 5 MB to every start-up
+    script = (
+        "import sys, numpy as np, mfgflow\n"
+        "g = mfgflow.make_grid(2, 20)\n"
+        "mask = np.zeros(g.shape, dtype=bool); mask[3, 7] = True\n"
+        "mfgflow.solve_eikonal(g, mfgflow.TargetSet(mask=mask, zeta=0.0))\n"
+        "print(sorted(m for m in ('scipy.ndimage', 'scipy.spatial') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(mfgflow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -71,6 +71,19 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec.linear(mu=0.1, P=0.5, f=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_coefficients(self, bad):
+        field = np.ones(11)
+        field[3] = bad
+        with pytest.raises(ValueError):
+            ModelSpec.linear(mu=bad, P=0.5, f=1.0)
+        with pytest.raises(ValueError):
+            ModelSpec.linear(mu=0.1, P=field, f=1.0)
+        with pytest.raises(ValueError):
+            ModelSpec.linear(mu=0.1, P=0.5, f=field)
+        with pytest.raises(ValueError):
+            ModelSpec.nonlinear(mu=0.1, K=field)
+
     def test_nonlinear_needs_k(self):
         with pytest.raises(ValueError):
             ModelSpec(kind="nonlinear", mu=0.1)

@@ -72,6 +72,10 @@ class TestNashGap:
         # direct-scan oracle: min of theta over {x >= 0.5} is 0.5
         assert nash_gap(field(grid, x), m) == pytest.approx(0.5, abs=2 * grid.spacing)
 
+    def test_empty_support_raises(self, grid):
+        with pytest.raises(ValueError, match="empty support"):
+            nash_gap(field(grid, grid.axes[0]), np.zeros(grid.shape))
+
 
 class TestSelectLowestIncome:
     def test_monotone_income(self, grid, uniform):
