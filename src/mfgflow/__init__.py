@@ -25,13 +25,10 @@ from .elliptic import (
     solve_payoff,
 )
 from .flow import (
-    EmptySelectionError,
     FlowConfig,
     FlowResult,
     IterationRecord,
     RedistributionShortfallError,
-    SelectionError,
-    StepOverlapError,
     flow_step,
     nash_gap,
     redistribute,
@@ -55,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Density",
-    "EmptySelectionError",
     "FlowConfig",
     "FlowResult",
     "Grid",
@@ -66,9 +62,7 @@ __all__ = [
     "RedistributionShortfallError",
     "RefinementStudy",
     "ScalarField",
-    "SelectionError",
     "SolverError",
-    "StepOverlapError",
     "StressRow",
     "TargetSet",
     "TrivialBranchWarning",

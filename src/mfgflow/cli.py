@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .eikonal import TargetSet, extract_target, solve_eikonal
+from .eikonal import TargetSet, solve_eikonal
 from .elliptic import ModelSpec, SolverError, pde_residual, solve_linear, solve_payoff
-from .flow import FlowConfig, run_flow, select_lowest_income
+from .flow import FlowConfig, _distance_field, run_flow, select_lowest_income
 from .grid import integrate, make_grid
 from .measures import Density, ScalarField, normalize
 from .presets import PRESETS, ExpressionError, evaluate_expression
@@ -288,19 +288,25 @@ def _summary(result) -> str:
     )
 
 
+def _exit_code(result) -> int:
+    if result.termination == "solver_failed":
+        return EXIT_SOLVER
+    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+
+
 def cmd_solve(rc: RunConfig) -> int:
     grid, model, flow_cfg, label = _materialize(rc)
     os.makedirs(rc.out, exist_ok=True)
     result = run_flow(model, _uniform_density(grid), flow_cfg)
     _write_solution(rc.out, grid, result, label)
     if rc.dump_eikonal:
-        v = solve_eikonal(grid, extract_target(result.theta))
+        v = _distance_field(grid, result.theta, result.final_residual)
         header = ["x", "v"] if grid.dim == 1 else ["x", "y", "v"]
         rows = (row[:-2] + (row[-1],) for row in _density_rows(grid, v.values, v.values))
         _write_csv(os.path.join(rc.out, "eikonal.csv"), header, rows,
                    comments=[_grid_comment(grid)])
     print(_summary(result))
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return _exit_code(result)
 
 
 def cmd_refine(rc: RunConfig) -> int:
@@ -354,7 +360,7 @@ def cmd_trace(rc: RunConfig) -> int:
     t, phi = diagnostics.functional_trace(result, flow_cfg.variant)
     _write_csv(os.path.join(rc.out, "trace.csv"), ["t", "phi"], zip(t, phi))
     print(_summary(result))
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return _exit_code(result)
 
 
 def cmd_validate(rc: RunConfig) -> int:

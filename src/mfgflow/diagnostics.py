@@ -110,8 +110,10 @@ def refinement_study(
         start = time.perf_counter()
         result = run_flow(model, m0, cfg)
         runtimes.append(time.perf_counter() - start)
-        if result.termination == "step_failed":
-            raise StudyError(f"refinement level {k} (eps={eps!r}) failed to step")
+        if result.termination in ("step_failed", "solver_failed"):
+            raise StudyError(
+                f"refinement level {k} (eps={eps!r}) stopped: {result.termination}"
+            )
         trajectories.append(result.densities)
     if t_grid is None:
         horizon = min(

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eikonal import extract_target, solve_eikonal
-from .elliptic import ModelSpec, solve_payoff
+from .elliptic import ModelSpec, SolverError, solve_payoff
 from .grid import Grid, field_values, integrate
-from .measures import Density, ScalarField, support
+from .measures import NORMALIZATION_TOL, Density, ScalarField, support
 
 # The eikonal variant's target holds every node whose income lies within
 # this fraction of the current residual of the maximum: regions whose
@@ -30,20 +30,8 @@ from .measures import Density, ScalarField, support
 TARGET_GAP_FRACTION = 0.7
 
 
-class EmptySelectionError(RuntimeError):
-    """No mass available to move: everything already sits on the target."""
-
-
-class SelectionError(ValueError):
-    """Requested slice exceeds the available mass."""
-
-
 class RedistributionShortfallError(RuntimeError):
     """The plateau cannot absorb eps; the step size must shrink."""
-
-
-class StepOverlapError(RuntimeError):
-    """Removal and redistribution regions overlapped for this eps."""
 
 
 @dataclass
@@ -74,6 +62,8 @@ class FlowConfig:
             raise ValueError("tau must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
+        if self.fixed_eps is not None and not 0.0 < self.fixed_eps <= 1.0:
+            raise ValueError("need 0 < fixed_eps <= 1")
 
 
 @dataclass(frozen=True)
@@ -136,7 +126,8 @@ def _ordered_slice(
     Nodes sharing the crossing key value are scaled by one common
     factor; an optional tiebreak field orders equal-key nodes ascending
     before the fractional split.  Returns (per-node weights in [0,1],
-    crossing level).
+    crossing level).  The slice may exceed the available mass by
+    NORMALIZATION_TOL, the slack a Density's unit mass is allowed.
     """
     key_flat = key.ravel()
     mass_flat = mass.ravel()
@@ -147,8 +138,8 @@ def _ordered_slice(
         order = np.lexsort((tiebreak.ravel(), signed))
     cum = np.cumsum(mass_flat[order])
     total = cum[-1]
-    if eps > total * (1.0 + 1e-12) + 1e-15:
-        raise SelectionError(f"requested mass {eps!r} exceeds available {total!r}")
+    if eps > total + NORMALIZATION_TOL:
+        raise ValueError(f"requested mass {eps!r} exceeds available {total!r}")
     eps_eff = min(eps, total)
     idx = min(int(np.searchsorted(cum, eps_eff, side="left")), order.size - 1)
     level = key_flat[order[idx]]
@@ -180,7 +171,7 @@ def select_lowest_income(m, theta, eps: float):
     m_vals = field_values(m)
     th = field_values(theta)
     if eps <= 0.0:
-        raise SelectionError("eps must be positive")
+        raise ValueError("eps must be positive")
     weights, eta = _ordered_slice(grid.quad_weights * m_vals, th, eps, descending=False)
     m_minus = m_vals * weights
     return m_minus, m_vals - m_minus, eta
@@ -192,17 +183,16 @@ def select_farthest(m, v, eps: float, income=None):
     Selection runs on descending distance v.  Distances on a grid carry
     many exact ties (in 1D they are multiples of dx); when the income
     field is supplied, equally far nodes are taken poorest-first, which
-    is the tiebreak the flow uses.  Raises EmptySelectionError when no
-    mass sits at positive distance (the density already lives on the
-    target), which the flow reads as convergence.
+    is the tiebreak the flow uses.  Raises ValueError when no mass sits
+    at positive distance (the density already lives on the target).
     """
     grid = _grid_of(m, v)
     m_vals = field_values(m)
     v_vals = field_values(v)
     if eps <= 0.0:
-        raise SelectionError("eps must be positive")
+        raise ValueError("eps must be positive")
     if float(v_vals[m_vals > 0.0].max(initial=0.0)) <= 0.0:
-        raise EmptySelectionError("all mass already sits on the target set")
+        raise ValueError("all mass already sits on the target set")
     tiebreak = None if income is None else field_values(income)
     weights, eta = _ordered_slice(
         grid.quad_weights * m_vals, v_vals, eps, descending=True, tiebreak=tiebreak
@@ -228,7 +218,7 @@ def redistribute(m_plus, theta, model: ModelSpec, eps: float):
     th = field_values(theta)
     mp = field_values(m_plus)
     if eps <= 0.0:
-        raise SelectionError("eps must be positive")
+        raise ValueError("eps must be positive")
     theta_bar = float(th.max())
     if model.kind == "linear":
         height = (
@@ -260,25 +250,33 @@ def _distance_field(grid, theta, resid):
     return solve_eikonal(grid, extract_target(theta, zeta=TARGET_GAP_FRACTION * resid))
 
 
-def _attempt_step(m_vals, theta, v, model, grid, eps, variant, allow_overlap):
+def _trial(m, theta, v, model, grid, eps, variant, allow_overlap):
     """One trial move of mass eps from the current iterate.
 
-    Returns (m_new, theta_new, R_new); raises the selection and
-    redistribution signals for the caller to translate into halving or
-    termination.
+    Returns (m_new, theta_new, residual), or the reason the move was
+    rejected: "shortfall" (the plateau cannot absorb eps), "overlap"
+    (removal and redistribution regions overlap while allow_overlap is
+    off) or "solver_failed" (the payoff solve of the moved density
+    failed).
     """
     if variant == "best_response":
-        m_minus, m_plus, _ = select_lowest_income(m_vals, theta, eps)
+        m_minus, m_plus, _ = select_lowest_income(m, theta, eps)
     else:
-        m_minus, m_plus, _ = select_farthest(m_vals, v, eps, income=theta)
-    nu, _, _ = redistribute(m_plus, theta, model, eps)
+        m_minus, m_plus, _ = select_farthest(m, v, eps, income=theta)
+    try:
+        nu, _, _ = redistribute(m_plus, theta, model, eps)
+    except RedistributionShortfallError:
+        return "shortfall"
     if not allow_overlap and bool(np.any((m_minus > 0.0) & (nu > 0.0))):
-        raise StepOverlapError("removal and redistribution regions overlap")
+        return "overlap"
     m_new = m_plus + nu
     total = integrate(m_new, grid)
     if abs(total - 1.0) > 1e-12:
         m_new = m_new / total
-    theta_new = solve_payoff(model, m_new, grid, theta0=theta)
+    try:
+        theta_new = solve_payoff(model, m_new, grid, theta0=theta)
+    except SolverError:
+        return "solver_failed"
     return m_new, theta_new, nash_gap(theta_new, m_new)
 
 
@@ -288,7 +286,8 @@ def flow_step(m: Density, model: ModelSpec, eps: float, variant: str = "best_res
     Solves for theta, selects by income or distance, redistributes onto
     the plateau and re-solves.  A density whose support already lies on
     the argmax of its payoff (zero gap) is returned unchanged.
-    Returns (m_next, theta_next, residual).
+    Returns (m_next, theta_next, residual); raises RuntimeError naming
+    the reason when the move is rejected.
     """
     grid = m.grid
     theta = solve_payoff(model, m, grid)
@@ -297,12 +296,11 @@ def flow_step(m: Density, model: ModelSpec, eps: float, variant: str = "best_res
     # the density is already a discrete fixed point
     if gap <= 1e-11 * (1.0 + abs(theta.max())):
         return m, theta, gap
-    v = None
-    if variant == "eikonal":
-        v = _distance_field(grid, theta, gap)
-    m_new, theta_new, r_new = _attempt_step(
-        m.values, theta, v, model, grid, eps, variant, allow_overlap=True
-    )
+    v = _distance_field(grid, theta, gap) if variant == "eikonal" else None
+    trial = _trial(m.values, theta, v, model, grid, eps, variant, allow_overlap=True)
+    if isinstance(trial, str):
+        raise RuntimeError(f"step of mass {eps!r} rejected: {trial}")
+    m_new, theta_new, r_new = trial
     return Density(np.maximum(m_new, 0.0), grid), theta_new, r_new
 
 
@@ -312,82 +310,32 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
     Adaptive mode (fixed_eps unset) accepts a step only when the
     residual strictly decreases, halving eps otherwise; eps restarts at
     eps0 after each acceptance.  The run stops when the tolerance is
-    met, the outer cap is hit, eps is exhausted, or the selection comes
-    up empty (everything already on the target).  With fixed_eps every
-    computable step is taken as-is, which reproduces the oscillatory
-    non-convergent regime of large fixed steps.
+    met, the outer cap is hit, eps is exhausted, the selection comes up
+    empty (everything already on the target), or a payoff solve fails
+    after the first.  With fixed_eps every computable step is taken
+    as-is, which reproduces the oscillatory non-convergent regime of
+    large fixed steps.
 
     Non-convergence is a reported outcome (converged=False plus a
-    termination reason), not an exception.
+    termination reason), not an exception; only a failure of the
+    initial payoff solve raises SolverError.
     """
     grid = m0.grid
     tau = cfg.tau if cfg.tau is not None else grid.spacing
     adaptive = cfg.fixed_eps is None
+    eps_start = cfg.eps0 if adaptive else cfg.fixed_eps
     m = m0.values.copy()
     theta = solve_payoff(model, m0, grid)
     resid = nash_gap(theta, m)
-    records = [
-        IterationRecord(
-            j=0,
-            eps=0.0,
-            residual=resid,
-            sup_theta=theta.max(),
-            min_theta_supp=theta.max() - resid,
-            tv_step=0.0,
-            mass_cum=0.0,
-            halvings=0,
-        )
-    ]
-    densities = [m.copy()] if cfg.keep_trajectory else None
+    records = []
+    densities = [] if cfg.keep_trajectory else None
     mass_cum = 0.0
-    termination = None
 
-    j = 0
-    while resid > tau and j < cfg.max_outer:
-        v = None
-        if cfg.variant == "eikonal":
-            v = _distance_field(grid, theta, resid)
-        eps = cfg.eps0 if adaptive else cfg.fixed_eps
-        halvings = 0
-        trial = None
-        while True:
-            try:
-                trial = _attempt_step(
-                    m,
-                    theta,
-                    v,
-                    model,
-                    grid,
-                    eps,
-                    cfg.variant,
-                    allow_overlap=not adaptive,
-                )
-            except EmptySelectionError:
-                termination = "empty_selection"
-                break
-            except (RedistributionShortfallError, StepOverlapError, SelectionError):
-                trial = None
-            if trial is not None and (not adaptive or trial[2] < resid):
-                break
-            trial = None
-            if not adaptive:
-                termination = "step_failed"
-                break
-            eps /= 2.0
-            halvings += 1
-            if eps < cfg.eps_min:
-                termination = "eps_exhausted"
-                break
-        if trial is None:
-            break
-        m_new, theta, resid = trial
-        tv_step = float(np.sum(grid.quad_weights * np.abs(m_new - m)))
-        m = m_new
-        j += 1
-        mass_cum += eps
+    def record(eps, tv_step, halvings):
+        # snapshot of the current (m, theta, resid, mass_cum)
         records.append(
             IterationRecord(
-                j=j,
+                j=len(records),
                 eps=eps,
                 residual=resid,
                 sup_theta=theta.max(),
@@ -399,6 +347,37 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
         )
         if densities is not None:
             densities.append(m.copy())
+
+    record(0.0, 0.0, 0)
+    eps, halvings = eps_start, 0
+    v = None
+    termination = None
+    # one pass per trial; the distance field depends only on the
+    # iterate, so it is rebuilt when a new iterate takes its first trial
+    while termination is None and resid > tau and len(records) <= cfg.max_outer:
+        if cfg.variant == "eikonal" and halvings == 0:
+            v = _distance_field(grid, theta, resid)
+            if v.values[m > 0.0].max() <= 0.0:
+                termination = "empty_selection"
+                break
+        trial = _trial(
+            m, theta, v, model, grid, eps, cfg.variant, allow_overlap=not adaptive
+        )
+        if trial == "solver_failed":
+            termination = trial
+        elif not isinstance(trial, str) and (not adaptive or trial[2] < resid):
+            m_prev = m
+            m, theta, resid = trial
+            mass_cum += eps
+            record(eps, float(np.sum(grid.quad_weights * np.abs(m - m_prev))), halvings)
+            eps, halvings = eps_start, 0
+        elif not adaptive:
+            termination = "step_failed"
+        else:
+            eps /= 2.0
+            halvings += 1
+            if eps < cfg.eps_min:
+                termination = "eps_exhausted"
 
     converged = resid <= tau
     if termination is None:

@@ -78,7 +78,11 @@ def evaluate_expression(expr: str, grid: Grid) -> np.ndarray:
             return fn(*args)
         raise ExpressionError(f"unsupported syntax in {expr!r}")
 
-    return np.broadcast_to(np.asarray(walk(tree), dtype=float), grid.shape).copy()
+    # a pole or overflow yields inf/nan, which ModelSpec rejects by name;
+    # numpy's floating-point warnings would only duplicate that message
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        values = walk(tree)
+    return np.broadcast_to(np.asarray(values, dtype=float), grid.shape).copy()
 
 
 @dataclass(frozen=True)

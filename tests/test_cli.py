@@ -1,11 +1,16 @@
+import warnings
+
+import numpy as np
 import pytest
 
 from mfgflow.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    EXIT_SOLVER,
     main,
 )
+from mfgflow.flow import TARGET_GAP_FRACTION
 
 
 def read_csv(path):
@@ -61,6 +66,11 @@ def test_solve_dump_eikonal(tmp_path):
     header, rows = read_csv(tmp_path / "eikonal.csv")
     assert header == ["x", "v"]
     assert min(float(r[1]) for r in rows) == 0.0
+    # the dumped field is the distance to the flow's own target set
+    theta = np.array([float(r[2]) for r in read_csv(tmp_path / "density.csv")[1]])
+    residual = float(read_csv(tmp_path / "iterations.csv")[1][-1][2])
+    on_target = theta >= theta.max() - TARGET_GAP_FRACTION * residual
+    assert sum(float(r[1]) == 0.0 for r in rows) == on_target.sum()
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):
@@ -70,6 +80,27 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     )
     assert code == EXIT_NOT_CONVERGED
     assert "converged=false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fixed_eps", ["0", "-1", "2"])
+def test_fixed_eps_out_of_range_exit_3(tmp_path, capsys, fixed_eps):
+    code = main(["solve", "--preset", "linear-4x", "--fixed-eps", fixed_eps,
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "fixed_eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, csv", [("solve", "iterations.csv"),
+                                          ("trace", "trace.csv")])
+def test_solver_failure_mid_flow_exit_4(tmp_path, capsys, fail_payoff_solve,
+                                        command, csv):
+    fail_payoff_solve(4)
+    code = main([command, "--preset", "linear-sin", "--grid", "200",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    assert "termination=solver_failed" in capsys.readouterr().out
+    # the initial record and the two accepted steps are kept
+    assert len(read_csv(tmp_path / csv)[1]) == 3
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):
@@ -124,11 +155,13 @@ def test_bad_expression_exit_3(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == EXIT_CONFIG
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_nonfinite_coefficient_exit_3(tmp_path, capsys):
     cfg = tmp_path / "pole.cfg"
     cfg.write_text("kind = linear\ndim = 1\nP = 0.5\nf = 1/x\n")
-    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
     assert "f must be finite" in capsys.readouterr().err
 
 

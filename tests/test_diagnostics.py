@@ -14,7 +14,7 @@ from mfgflow import (
     solve_linear,
     stress_test,
 )
-from mfgflow.diagnostics import _sample_trajectory
+from mfgflow.diagnostics import StudyError, _sample_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,11 @@ class TestRefinementStudy:
     def test_needs_at_least_one_pair(self, grid, model, uniform):
         with pytest.raises(ValueError):
             refinement_study(model, uniform, pairs=0)
+
+    def test_solver_failure_fails_the_study(self, model, uniform, fail_payoff_solve):
+        fail_payoff_solve(3)
+        with pytest.raises(StudyError, match="level 0 .* solver_failed"):
+            refinement_study(model, uniform, eps0=0.1, pairs=1)
 
 
 class TestStressTest:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from mfgflow import (
+    PRESETS,
     Density,
-    EmptySelectionError,
     FlowConfig,
     ModelSpec,
     RedistributionShortfallError,
     ScalarField,
-    SelectionError,
+    SolverError,
+    build_model,
     flow_step,
     integrate,
     make_grid,
@@ -103,14 +104,18 @@ class TestSelectLowestIncome:
 
     def test_rejects_overdraw(self, grid, uniform):
         theta = field(grid, grid.axes[0])
-        with pytest.raises(SelectionError):
+        with pytest.raises(ValueError, match="exceeds available"):
             select_lowest_income(uniform, theta, 1.5)
 
     def test_whole_mass_allowed(self, grid, uniform):
         theta = field(grid, grid.axes[0])
-        m_minus, m_plus, _ = select_lowest_income(uniform, theta, 1.0)
-        assert integrate(m_minus, grid) == pytest.approx(1.0, abs=1e-10)
-        assert np.abs(m_plus).max() <= 1e-12
+        # Density accepts a mass within NORMALIZATION_TOL of 1, so the
+        # unit slice must also be takeable from a density short of it
+        short = Density(uniform.values * (1.0 - 5e-11), grid)
+        for m in (uniform, short):
+            m_minus, m_plus, _ = select_lowest_income(m, theta, 1.0)
+            assert integrate(m_minus, grid) == pytest.approx(1.0, abs=1e-10)
+            assert np.abs(m_plus).max() <= 1e-12
 
     def test_matches_brute_force_level_scan(self, grid):
         rng = np.random.default_rng(2024)
@@ -133,7 +138,7 @@ class TestSelectFarthest:
 
     def test_zero_distance_everywhere_is_empty(self, grid, uniform):
         v = field(grid, np.zeros(grid.shape))
-        with pytest.raises(EmptySelectionError):
+        with pytest.raises(ValueError, match="already sits on the target set"):
             select_farthest(uniform, v, 0.1)
 
     def test_two_target_midpoint_band(self, grid, uniform):
@@ -217,6 +222,13 @@ class TestFlowStep:
         m_eik, _, _ = flow_step(uniform, model, 0.1, variant="eikonal")
         assert tv_distance(m_br, m_eik) <= 1e-9
 
+    def test_rejected_move_names_its_reason(self, grid, uniform):
+        # the plateau of f = 4x above the uniform density's payoff holds
+        # about 0.26 of mass, less than the requested 0.3
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
+        with pytest.raises(RuntimeError, match="rejected: shortfall"):
+            flow_step(uniform, model, 0.3)
+
 
 class TestRunFlow:
     def test_config_validation(self):
@@ -228,6 +240,9 @@ class TestRunFlow:
             FlowConfig(eps0=2.0)
         with pytest.raises(ValueError):
             FlowConfig(tau=-1.0)
+        for fixed_eps in (0.0, -1.0, 2.0):
+            with pytest.raises(ValueError):
+                FlowConfig(fixed_eps=fixed_eps)
 
     def test_equilibrium_start_takes_no_steps(self, grid, uniform):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=2.0)
@@ -270,6 +285,33 @@ class TestRunFlow:
         assert all(r.eps == 1.0 for r in result.records[1:])
         resids = [r.residual for r in result.records]
         assert any(b > a for a, b in zip(resids, resids[1:]))
+
+    def test_fixed_unit_step_from_density_short_of_unit_mass(self, grid):
+        model = ModelSpec.linear(
+            mu=0.1, P=0.5, f=15.0 * (np.cos(2 * np.pi * grid.axes[0]) + 1.0)
+        )
+        m0 = Density(np.ones(grid.shape) * (1.0 - 5e-11), grid)
+        result = run_flow(model, m0, FlowConfig(fixed_eps=1.0, max_outer=5))
+        assert result.termination == "max_outer"
+        assert result.iterations == 5
+
+    def test_solver_failure_mid_flow_is_reported(self, fail_payoff_solve):
+        grid = make_grid(1, 200)
+        model = build_model(PRESETS["linear-sin"], grid)
+        m0 = normalize(np.ones(grid.shape), grid)
+        fail_payoff_solve(4)
+        result = run_flow(model, m0, FlowConfig(keep_trajectory=True))
+        assert result.termination == "solver_failed"
+        assert not result.converged
+        assert result.iterations == 2
+        assert len(result.densities) == 3
+        assert np.array_equal(result.m.values, result.densities[-1])
+
+    def test_initial_solver_failure_raises(self, grid, uniform, fail_payoff_solve):
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
+        fail_payoff_solve(1)
+        with pytest.raises(SolverError):
+            run_flow(model, uniform, FlowConfig())
 
     def test_trajectories_of_variants_coincide_for_increasing_source(
         self, grid, uniform
