@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .eikonal import TargetSet, solve_eikonal
-from .elliptic import ModelSpec, SolverError, pde_residual, solve_linear, solve_payoff
-from .flow import FlowConfig, _distance_field, run_flow, select_lowest_income
-from .grid import integrate, make_grid
-from .measures import Density, ScalarField, normalize
+from .elliptic import ModelSpec, SolverError
+from .flow import FlowConfig, _distance_field, run_flow
+from .grid import make_grid
+from .measures import Density, normalize
 from .presets import PRESETS, ExpressionError, evaluate_expression
 
 EXIT_OK = 0
@@ -365,65 +364,10 @@ def cmd_trace(rc: RunConfig) -> int:
 
 def cmd_validate(rc: RunConfig) -> int:
     """Solver verification: manufactured solutions and oracle checks."""
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append(ok)
-        print(f"{'ok  ' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}")
-
-    # second-order convergence on a manufactured Neumann-compatible
-    # solution theta = 2 + cos(pi x); the shift keeps f nonnegative
-    errors = []
-    for n in (100, 200, 400):
-        grid = make_grid(1, n)
-        x = grid.axes[0]
-        model = ModelSpec.linear(
-            mu=0.1, P=1.0, f=3.0 + (1.0 + 0.1 * np.pi**2) * np.cos(np.pi * x)
-        )
-        theta = solve_linear(model, np.ones(grid.shape), grid)
-        errors.append(np.abs(theta.values - (2.0 + np.cos(np.pi * x))).max())
-    orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
-    check("manufactured-solution order >= 1.9",
-          all(o >= 1.9 for o in orders), f"orders={[f'{o:.3f}' for o in orders]}")
-
-    grid = make_grid(1, 200)
-    model = ModelSpec.linear(mu=0.1, P=0.5, f=2.0)
-    theta = solve_linear(model, np.ones(grid.shape), grid)
-    check("constant linear solution (f-m)/P", np.abs(theta.values - 2.0).max() <= 1e-9)
-
-    nl = ModelSpec.nonlinear(mu=0.1, K=4.0)
-    theta_nl = solve_payoff(nl, _uniform_density(grid), grid)
-    check("constant nonlinear solution K-1", np.abs(theta_nl.values - 3.0).max() <= 1e-6)
-    check("nonlinear residual", pde_residual(nl, np.ones(grid.shape), theta_nl) <= 1e-5)
-
-    rng = np.random.default_rng(7)
-    ok_levels = True
-    for _ in range(5):
-        m = normalize(rng.uniform(0.1, 1.0, grid.shape), grid)
-        key = ScalarField(np.sort(rng.uniform(0.0, 1.0, grid.shape)), grid)
-        m_minus, _, _ = select_lowest_income(m, key, 0.2)
-        ok_levels = ok_levels and abs(integrate(m_minus, grid) - 0.2) <= 1e-10
-    check("level finder takes the exact mass", ok_levels)
-
-    target = np.zeros(grid.shape, dtype=bool)
-    target[-1] = True
-    v = solve_eikonal(grid, TargetSet(mask=target, zeta=0.0))
-    exact = 1.0 - grid.axes[0]
-    check("1D distance field", np.abs(v.values - exact).max() <= 1e-12)
-
-    errs = []
-    for n in (40, 80):
-        g2 = make_grid(2, n)
-        mask = np.zeros(g2.shape, dtype=bool)
-        mask[-1, -1] = True
-        v2 = solve_eikonal(g2, TargetSet(mask=mask, zeta=0.0))
-        X, Y = g2.coords()
-        exact2 = np.hypot(X - 1.0, Y - 1.0)
-        errs.append(np.abs(v2.values - exact2).max())
-    check("2D distance field exact at every n", max(errs) <= 1e-12,
-          f"errors={[f'{e:.2e}' for e in errs]}")
-
-    return EXIT_OK if all(checks) else EXIT_SOLVER
+    checks = diagnostics.verification_checks()
+    for name, ok, detail in checks:
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_SOLVER
 
 
 _COMMANDS = {

@@ -12,10 +12,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import ModelSpec
-from .flow import FlowConfig, FlowResult, nash_gap, run_flow
-from .grid import field_values
-from .measures import Density, random_density
+from .eikonal import TargetSet, solve_eikonal
+from .elliptic import ModelSpec, pde_residual, solve_linear, solve_nonlinear
+from .flow import FlowConfig, FlowResult, nash_gap, run_flow, select_lowest_income
+from .grid import integrate, make_grid
+from .measures import Density, ScalarField, grid_of, normalize, random_density
 
 
 class StudyError(RuntimeError):
@@ -93,7 +94,7 @@ def refinement_study(
     """
     if pairs < 1:
         raise ValueError("need at least one consecutive pair")
-    grid = m0.grid
+    grid = grid_of(m0)
     w = grid.quad_weights
     epsilons = [eps0 / 2**k for k in range(pairs + 1)]
     trajectories = []
@@ -160,7 +161,7 @@ def stress_test(model: ModelSpec, grid, cfg: FlowConfig, seeds) -> list[StressRo
     return rows
 
 
-def nash_certificate(m, theta):
+def nash_certificate(m: Density, theta: ScalarField):
     """Certificate pair for an approximate equilibrium.
 
     eps_nash is the Nash gap of (m, theta): no player on the support of
@@ -169,12 +170,74 @@ def nash_certificate(m, theta):
     {theta >= max theta - eps_nash - dx}, which should vanish for a
     flow output.
     """
-    th = field_values(theta)
-    m_vals = field_values(m)
-    grid = theta.grid
-    if th.shape != m_vals.shape:
-        raise ValueError("theta and m live on different grids")
+    grid = grid_of(m, theta)
     eps_nash = nash_gap(theta, m)
+    th = theta.values
     outside = th < th.max() - eps_nash - grid.spacing
-    violation = float(np.sum(grid.quad_weights[outside] * m_vals[outside]))
+    violation = float(np.sum(grid.quad_weights[outside] * m.values[outside]))
     return eps_nash, violation
+
+
+def verification_checks() -> list[tuple[str, bool, str]]:
+    """Solver verification: manufactured solutions and exact oracles.
+
+    Returns one (name, ok, detail) tuple per check.  `mfgflow validate`
+    prints them and the acceptance suite asserts every one.
+    """
+    checks = []
+
+    # second-order convergence on a manufactured Neumann-compatible
+    # solution theta = 2 + cos(pi x) for m = 1; the shift keeps f
+    # nonnegative
+    errors = []
+    for n in (100, 200, 400):
+        grid = make_grid(1, n)
+        x = grid.axes[0]
+        model = ModelSpec.linear(
+            mu=0.1, P=1.0, f=3.0 + (1.0 + 0.1 * np.pi**2) * np.cos(np.pi * x)
+        )
+        theta = solve_linear(model, normalize(np.ones(grid.shape), grid))
+        errors.append(np.abs(theta.values - (2.0 + np.cos(np.pi * x))).max())
+    orders = [float(np.log2(errors[k] / errors[k + 1])) for k in range(2)]
+    checks.append(("manufactured-solution order >= 1.9", min(orders) >= 1.9,
+                   f"orders={[f'{o:.3f}' for o in orders]}"))
+
+    # the remaining 1D checks run on the finest grid, n = 400
+    uniform = normalize(np.ones(grid.shape), grid)
+    lin = ModelSpec.linear(mu=0.1, P=0.5, f=2.0)
+    err = float(np.abs(solve_linear(lin, uniform).values - 2.0).max())
+    checks.append(("constant linear solution (f-m)/P", err <= 1e-9, f"error={err:.1e}"))
+    nl = ModelSpec.nonlinear(mu=0.1, K=4.0)
+    theta_nl = solve_nonlinear(nl, uniform)
+    err = float(np.abs(theta_nl.values - 3.0).max())
+    checks.append(("constant nonlinear solution K-1", err <= 1e-6, f"error={err:.1e}"))
+    res = pde_residual(nl, uniform, theta_nl)
+    checks.append(("nonlinear residual", res <= 1e-5, f"residual={res:.1e}"))
+
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(5):
+        m = normalize(rng.uniform(0.1, 1.0, grid.shape), grid)
+        key = ScalarField(np.sort(rng.uniform(0.0, 1.0, grid.shape)), grid)
+        m_minus, _, _ = select_lowest_income(m, key, 0.2)
+        worst = max(worst, abs(integrate(m_minus.values, grid) - 0.2))
+    checks.append(("level finder takes the exact mass", worst <= 1e-10,
+                   f"worst error={worst:.1e}"))
+
+    target = np.zeros(grid.shape, dtype=bool)
+    target[-1] = True
+    v = solve_eikonal(grid, TargetSet(mask=target, zeta=0.0))
+    err = float(np.abs(v.values - (1.0 - grid.axes[0])).max())
+    checks.append(("1D distance field", err <= 1e-12, f"error={err:.1e}"))
+
+    errors = []
+    for n in (40, 80):
+        g2 = make_grid(2, n)
+        mask = np.zeros(g2.shape, dtype=bool)
+        mask[-1, -1] = True
+        v2 = solve_eikonal(g2, TargetSet(mask=mask, zeta=0.0))
+        X, Y = g2.coords()
+        errors.append(float(np.abs(v2.values - np.hypot(X - 1.0, Y - 1.0)).max()))
+    checks.append(("2D distance field exact at every n", max(errors) <= 1e-12,
+                   f"errors={[f'{e:.2e}' for e in errors]}"))
+    return checks

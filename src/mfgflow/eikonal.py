@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, field_values
-from .measures import ScalarField
+from .grid import Grid
+from .measures import ScalarField, grid_of
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ def extract_target(theta: ScalarField, zeta: float | None = None) -> TargetSet:
     Default zeta = 1e-10 * (1 + |max theta|), which resolves exact
     plateaus while ignoring roundoff-level variation.
     """
-    vals = field_values(theta)
+    grid_of(theta)
+    vals = theta.values
     if not np.isfinite(vals).all():
         raise ValueError("theta must be finite")
     top = vals.max()

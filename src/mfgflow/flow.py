@@ -18,8 +18,10 @@ import numpy as np
 
 from .eikonal import extract_target, solve_eikonal
 from .elliptic import ModelSpec, SolverError, solve_payoff
-from .grid import Grid, field_values, integrate
-from .measures import NORMALIZATION_TOL, Density, ScalarField, support
+from .grid import integrate
+from .measures import (
+    NORMALIZATION_TOL, Density, ScalarField, grid_of, support, tv_distance
+)
 
 # The eikonal variant's target holds every node whose income lies within
 # this fraction of the current residual of the maximum: regions whose
@@ -97,19 +99,17 @@ class FlowResult:
         return self.records[-1].residual
 
 
-def nash_gap(theta, m, rel_threshold: float = 1e-9) -> float:
+def nash_gap(theta: ScalarField, m: ScalarField, rel_threshold: float = 1e-9) -> float:
     """max theta minus the minimum of theta over the support of m.
 
     Zero exactly when every player already earns the top income; the
     flow stops once this residual falls below tau.
     """
-    th = field_values(theta)
-    m_vals = field_values(m)
-    if th.shape != m_vals.shape:
-        raise ValueError("theta and m live on different grids")
-    mask = support(m_vals, rel_threshold)
+    grid_of(theta, m)
+    mask = support(m, rel_threshold)
     if not mask.any():
         raise ValueError("m has empty support")
+    th = theta.values
     return float(th.max() - th[mask].min())
 
 
@@ -159,49 +159,49 @@ def _ordered_slice(
     return weights, float(level)
 
 
-def select_lowest_income(m, theta, eps: float):
+def select_lowest_income(m: ScalarField, theta: ScalarField, eps: float):
     """Split m into the eps lowest-income slice and the remainder.
 
     Returns (m_minus, m_plus, eta): m_minus = m on {theta < eta} plus a
     fractional share of the eta level set, with integral exactly eps;
-    m_plus = m - m_minus.  Ties at the crossing level are removed
-    proportionally, so a constant theta yields m_minus = eps * m.
+    m_plus = m - m_minus; both are fields on m's grid.  Ties at the
+    crossing level are removed proportionally, so a constant theta
+    yields m_minus = eps * m.
     """
-    grid = _grid_of(m, theta)
-    m_vals = field_values(m)
-    th = field_values(theta)
+    grid = grid_of(m, theta)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    m_vals, th = m.values, theta.values
     weights, eta = _ordered_slice(grid.quad_weights * m_vals, th, eps, descending=False)
     m_minus = m_vals * weights
-    return m_minus, m_vals - m_minus, eta
+    return ScalarField(m_minus, grid), ScalarField(m_vals - m_minus, grid), eta
 
 
-def select_farthest(m, v, eps: float, income=None):
+def select_farthest(m: ScalarField, v: ScalarField, eps: float, income=None):
     """Split m into the eps slice farthest from the target and the rest.
 
     Selection runs on descending distance v.  Distances on a grid carry
     many exact ties (in 1D they are multiples of dx); when the income
     field is supplied, equally far nodes are taken poorest-first, which
-    is the tiebreak the flow uses.  Raises ValueError when no mass sits
-    at positive distance (the density already lives on the target).
+    is the tiebreak the flow uses.  Returns (m_minus, m_plus, eta) as
+    select_lowest_income does.  Raises ValueError when no mass sits at
+    positive distance (the density already lives on the target).
     """
-    grid = _grid_of(m, v)
-    m_vals = field_values(m)
-    v_vals = field_values(v)
+    grid = grid_of(m, v) if income is None else grid_of(m, v, income)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    m_vals, v_vals = m.values, v.values
     if float(v_vals[m_vals > 0.0].max(initial=0.0)) <= 0.0:
         raise ValueError("all mass already sits on the target set")
-    tiebreak = None if income is None else field_values(income)
+    tiebreak = None if income is None else income.values
     weights, eta = _ordered_slice(
         grid.quad_weights * m_vals, v_vals, eps, descending=True, tiebreak=tiebreak
     )
     m_minus = m_vals * weights
-    return m_minus, m_vals - m_minus, eta
+    return ScalarField(m_minus, grid), ScalarField(m_vals - m_minus, grid), eta
 
 
-def redistribute(m_plus, theta, model: ModelSpec, eps: float):
+def redistribute(m_plus: ScalarField, theta: ScalarField, model: ModelSpec, eps: float):
     """Rebuild mass eps on the payoff plateau {theta >= C}.
 
     The added density has the height that flattens theta there: for the
@@ -211,12 +211,12 @@ def redistribute(m_plus, theta, model: ModelSpec, eps: float):
     lowered (with fractional weighting of the crossing level) until the
     added mass reaches eps exactly.
 
-    Returns (nu, C, theta_bar).  Raises RedistributionShortfallError
-    when the plateau heights over the whole domain cannot absorb eps.
+    Returns (nu, C, theta_bar), nu a field on theta's grid.  Raises
+    RedistributionShortfallError when the plateau heights over the whole
+    domain cannot absorb eps.
     """
-    grid = theta.grid
-    th = field_values(theta)
-    mp = field_values(m_plus)
+    grid = grid_of(m_plus, theta)
+    th, mp = theta.values, m_plus.values
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     theta_bar = float(th.max())
@@ -235,14 +235,7 @@ def redistribute(m_plus, theta, model: ModelSpec, eps: float):
             f"plateau capacity {capacity!r} below requested mass {eps!r}"
         )
     weights, level = _ordered_slice(grid.quad_weights * height, th, eps, descending=True)
-    return height * weights, level, theta_bar
-
-
-def _grid_of(a, b) -> Grid:
-    grid = getattr(a, "grid", None) or getattr(b, "grid", None)
-    if grid is None:
-        raise ValueError("no grid attached to the operands")
-    return grid
+    return ScalarField(height * weights, grid), level, theta_bar
 
 
 def _distance_field(grid, theta, resid):
@@ -250,14 +243,14 @@ def _distance_field(grid, theta, resid):
     return solve_eikonal(grid, extract_target(theta, zeta=TARGET_GAP_FRACTION * resid))
 
 
-def _trial(m, theta, v, model, grid, eps, variant, allow_overlap):
+def _trial(m, theta, v, model, eps, variant, allow_overlap):
     """One trial move of mass eps from the current iterate.
 
     Returns (m_new, theta_new, residual), or the reason the move was
     rejected: "shortfall" (the plateau cannot absorb eps), "overlap"
     (removal and redistribution regions overlap while allow_overlap is
     off) or "solver_failed" (the payoff solve of the moved density
-    failed).
+    failed).  m_new is a ScalarField, a density up to roundoff.
     """
     if variant == "best_response":
         m_minus, m_plus, _ = select_lowest_income(m, theta, eps)
@@ -267,14 +260,15 @@ def _trial(m, theta, v, model, grid, eps, variant, allow_overlap):
         nu, _, _ = redistribute(m_plus, theta, model, eps)
     except RedistributionShortfallError:
         return "shortfall"
-    if not allow_overlap and bool(np.any((m_minus > 0.0) & (nu > 0.0))):
+    if not allow_overlap and bool(np.any((m_minus.values > 0.0) & (nu.values > 0.0))):
         return "overlap"
-    m_new = m_plus + nu
-    total = integrate(m_new, grid)
+    m_new = m_plus.values + nu.values
+    total = integrate(m_new, m.grid)
     if abs(total - 1.0) > 1e-12:
         m_new = m_new / total
+    m_new = ScalarField(m_new, m.grid)
     try:
-        theta_new = solve_payoff(model, m_new, grid, theta0=theta)
+        theta_new = solve_payoff(model, m_new, theta0=theta)
     except SolverError:
         return "solver_failed"
     return m_new, theta_new, nash_gap(theta_new, m_new)
@@ -289,19 +283,19 @@ def flow_step(m: Density, model: ModelSpec, eps: float, variant: str = "best_res
     Returns (m_next, theta_next, residual); raises RuntimeError naming
     the reason when the move is rejected.
     """
-    grid = m.grid
-    theta = solve_payoff(model, m, grid)
+    grid = grid_of(m)
+    theta = solve_payoff(model, m)
     gap = nash_gap(theta, m)
     # roundoff-floor recognizer: a flat payoff over the support means
     # the density is already a discrete fixed point
-    if gap <= 1e-11 * (1.0 + abs(theta.max())):
+    if gap <= 1e-11 * (1.0 + abs(theta.values.max())):
         return m, theta, gap
     v = _distance_field(grid, theta, gap) if variant == "eikonal" else None
-    trial = _trial(m.values, theta, v, model, grid, eps, variant, allow_overlap=True)
+    trial = _trial(m, theta, v, model, eps, variant, allow_overlap=True)
     if isinstance(trial, str):
         raise RuntimeError(f"step of mass {eps!r} rejected: {trial}")
     m_new, theta_new, r_new = trial
-    return Density(np.maximum(m_new, 0.0), grid), theta_new, r_new
+    return Density(np.maximum(m_new.values, 0.0), grid), theta_new, r_new
 
 
 def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
@@ -320,12 +314,12 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
     termination reason), not an exception; only a failure of the
     initial payoff solve raises SolverError.
     """
-    grid = m0.grid
+    grid = grid_of(m0)
     tau = cfg.tau if cfg.tau is not None else grid.spacing
     adaptive = cfg.fixed_eps is None
     eps_start = cfg.eps0 if adaptive else cfg.fixed_eps
-    m = m0.values.copy()
-    theta = solve_payoff(model, m0, grid)
+    m = m0
+    theta = solve_payoff(model, m0)
     resid = nash_gap(theta, m)
     records = []
     densities = [] if cfg.keep_trajectory else None
@@ -338,15 +332,15 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
                 j=len(records),
                 eps=eps,
                 residual=resid,
-                sup_theta=theta.max(),
-                min_theta_supp=theta.max() - resid,
+                sup_theta=float(theta.values.max()),
+                min_theta_supp=float(theta.values.max()) - resid,
                 tv_step=tv_step,
                 mass_cum=mass_cum,
                 halvings=halvings,
             )
         )
         if densities is not None:
-            densities.append(m.copy())
+            densities.append(m.values.copy())
 
     record(0.0, 0.0, 0)
     eps, halvings = eps_start, 0
@@ -357,19 +351,17 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
     while termination is None and resid > tau and len(records) <= cfg.max_outer:
         if cfg.variant == "eikonal" and halvings == 0:
             v = _distance_field(grid, theta, resid)
-            if v.values[m > 0.0].max() <= 0.0:
+            if v.values[m.values > 0.0].max() <= 0.0:
                 termination = "empty_selection"
                 break
-        trial = _trial(
-            m, theta, v, model, grid, eps, cfg.variant, allow_overlap=not adaptive
-        )
+        trial = _trial(m, theta, v, model, eps, cfg.variant, allow_overlap=not adaptive)
         if trial == "solver_failed":
             termination = trial
         elif not isinstance(trial, str) and (not adaptive or trial[2] < resid):
             m_prev = m
             m, theta, resid = trial
             mass_cum += eps
-            record(eps, float(np.sum(grid.quad_weights * np.abs(m - m_prev))), halvings)
+            record(eps, tv_distance(m, m_prev), halvings)
             eps, halvings = eps_start, 0
         elif not adaptive:
             termination = "step_failed"
@@ -383,7 +375,7 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
     if termination is None:
         termination = "converged" if converged else "max_outer"
     return FlowResult(
-        m=Density(np.maximum(m, 0.0), grid),
+        m=Density(np.maximum(m.values, 0.0), grid),
         theta=theta,
         converged=converged,
         records=records,

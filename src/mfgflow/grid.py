@@ -4,6 +4,11 @@ All solvers in this package operate on node-centered uniform grids over
 [0,1] (1D) or [0,1]x[0,1] (2D) with homogeneous Neumann boundary
 structure.  Integrals are evaluated with the trapezoidal rule in 1D and
 the rectangular rule in 2D.
+
+This is the bottom layer: it knows node arrays and grids only.  Grid
+functions that carry their grid (`ScalarField`, `Density`) live in
+`measures`; `integrate(values, grid)` is the one place here where node
+arrays meet a grid.
 """
 
 from __future__ import annotations
@@ -87,26 +92,13 @@ def make_grid(dim: int, n_per_axis: int | None = None) -> Grid:
     return Grid(dim=dim, n=n, spacing=dx, axes=(axis,) * dim, quad_weights=w)
 
 
-def field_values(field) -> np.ndarray:
-    """Extract the value array from a field object or plain array."""
-    return np.asarray(getattr(field, "values", field))
+def integrate(values, grid: Grid) -> float:
+    """Quadrature of node values: sum of weights times values.
 
-
-def integrate(field, grid: Grid | None = None) -> float:
-    """Quadrature of a grid function: sum of weights times node values.
-
-    `field` may be a plain ndarray or any object carrying `.values` and
-    `.grid` (Density, ScalarField).  If both a grid argument and a field
-    grid are present they must agree.
+    `values` is a plain array with the grid's shape.  This module knows
+    no field types; callers holding a field pass its `.values`.
     """
-    fgrid = getattr(field, "grid", None)
-    if grid is None:
-        grid = fgrid
-    if grid is None:
-        raise ValueError("integrate needs a grid, none was provided")
-    if fgrid is not None and fgrid.shape != grid.shape:
-        raise ValueError("field grid does not match the given grid")
-    vals = field_values(field)
+    vals = np.asarray(values)
     if vals.shape != grid.shape:
         raise ValueError(
             f"field shape {vals.shape} does not match grid shape {grid.shape}"

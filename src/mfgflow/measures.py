@@ -1,8 +1,14 @@
-"""Discrete probability densities, distances between them, and initializers.
+"""Grid functions, discrete probability densities and distances between them.
 
-Densities are absolutely-continuous grid functions: nonnegative node
-values integrating to one under the grid quadrature.  Atoms are excluded
-by representation.
+Every grid function that crosses a public function boundary is a
+`ScalarField`, which carries its grid; a `Density` is a `ScalarField`
+that is nonnegative and integrates to one under the grid quadrature
+(atoms are excluded by representation).  Bare node arrays enter only
+through the constructors `ScalarField(values, grid)`,
+`Density(values, grid)` and `normalize(values, grid)`, and through the
+quadrature `integrate(values, grid)` of the grid module below; every
+other public function reads its grid from its field arguments with
+`grid_of`.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, field_values, integrate
+from .grid import Grid, integrate
 
 NORMALIZATION_TOL = 1e-10
 
@@ -22,7 +28,7 @@ MAX_REDRAWS = 100
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real-valued grid function (payoff, distance, coefficient...)."""
+    """Real-valued grid function (payoff, distance, moved mass...)."""
 
     values: np.ndarray
     grid: Grid
@@ -35,43 +41,44 @@ class ScalarField:
             )
         object.__setattr__(self, "values", vals)
 
-    def max(self) -> float:
-        return float(self.values.max())
-
-    def min(self) -> float:
-        return float(self.values.min())
-
 
 @dataclass(frozen=True)
-class Density:
+class Density(ScalarField):
     """Nonnegative grid function with unit integral (the player mass m)."""
 
-    values: np.ndarray
-    grid: Grid
-
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise ValueError(
-                f"density shape {vals.shape} does not match grid {self.grid.shape}"
-            )
-        if vals.min() < 0.0:
+        super().__post_init__()
+        if self.values.min() < 0.0:
             raise ValueError("density values must be nonnegative")
-        mass = integrate(vals, self.grid)
+        mass = integrate(self.values, self.grid)
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density must integrate to 1, got {mass!r}")
-        object.__setattr__(self, "values", vals)
 
 
-def normalize(raw, grid: Grid | None = None) -> Density:
-    """Rescale a nonnegative field so it integrates to one.
+def grid_of(*fields) -> Grid:
+    """The grid shared by field arguments.
+
+    Raises ValueError when an argument is not a ScalarField, or when two
+    of them lie on grids of different shape.
+    """
+    grid = None
+    for fld in fields:
+        if not isinstance(fld, ScalarField):
+            raise ValueError(f"expected a ScalarField, got {type(fld).__name__}")
+        if grid is None:
+            grid = fld.grid
+        elif fld.grid is not grid and fld.grid.shape != grid.shape:
+            raise ValueError("fields lie on grids of different shape")
+    return grid
+
+
+def normalize(values, grid: Grid) -> Density:
+    """Rescale nonnegative node values so they integrate to one.
 
     Raises ValueError on negative entries or an (numerically) all-zero
-    field.  Idempotent on densities.
+    field.  Idempotent on the values of a density.
     """
-    if grid is None:
-        grid = getattr(raw, "grid", None)
-    vals = field_values(raw).astype(float)
+    vals = np.asarray(values, dtype=float)
     if vals.min() < 0.0:
         raise ValueError("cannot normalize a field with negative values")
     mass = integrate(vals, grid)
@@ -80,48 +87,36 @@ def normalize(raw, grid: Grid | None = None) -> Density:
     return Density(vals / mass, grid)
 
 
-def _common_grid(a, b) -> Grid:
-    ga = getattr(a, "grid", None)
-    gb = getattr(b, "grid", None)
-    grid = ga if ga is not None else gb
-    if grid is None:
-        raise ValueError("neither argument carries a grid")
-    if ga is not None and gb is not None and ga.shape != gb.shape:
-        raise ValueError("fields live on different grids")
-    return grid
-
-
-def tv_distance(m1, m2) -> float:
+def tv_distance(m1: ScalarField, m2: ScalarField) -> float:
     """Total-variation distance: quadrature of |m1 - m2|.
 
-    Accepts densities, scalar fields, or plain arrays (at least one
-    argument must carry a grid).  Symmetric, and zero iff the node
-    values coincide.
+    Symmetric, and zero iff the node values coincide.
     """
-    grid = _common_grid(m1, m2)
-    return integrate(np.abs(field_values(m1) - field_values(m2)), grid)
+    grid = grid_of(m1, m2)
+    return integrate(np.abs(m1.values - m2.values), grid)
 
 
-def w1_distance_1d(m1, m2) -> float:
+def w1_distance_1d(m1: ScalarField, m2: ScalarField) -> float:
     """1-Wasserstein distance between 1D densities via their CDFs.
 
     Computes the integral over [0,1] of |M1 - M2| where M_i is the
     cumulative (trapezoidal) integral of m_i.  Only defined in 1D.
     """
-    grid = _common_grid(m1, m2)
+    grid = grid_of(m1, m2)
     if grid.dim != 1:
         raise ValueError("w1_distance_1d is only defined on 1D grids")
-    diff = field_values(m1) - field_values(m2)
+    diff = m1.values - m2.values
     dx = grid.spacing
     cdf = np.concatenate(([0.0], np.cumsum(dx * 0.5 * (diff[:-1] + diff[1:]))))
     return integrate(np.abs(cdf), grid)
 
 
-def support(m, rel_threshold: float = 1e-9) -> np.ndarray:
+def support(m: ScalarField, rel_threshold: float = 1e-9) -> np.ndarray:
     """Boolean mask of nodes carrying mass above rel_threshold * max(m)."""
+    grid_of(m)
     if not 0.0 <= rel_threshold < 1.0:
         raise ValueError("rel_threshold must lie in [0, 1)")
-    vals = field_values(m)
+    vals = m.values
     return vals > rel_threshold * vals.max()
 
 

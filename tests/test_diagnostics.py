@@ -114,7 +114,7 @@ class TestStressTest:
 
 class TestNashCertificate:
     def test_uniform_under_increasing_source(self, grid, model, uniform):
-        theta = solve_linear(model, uniform, grid)
+        theta = solve_linear(model, uniform)
         eps_nash, violation = nash_certificate(uniform, theta)
         # full support, so the gap equals the range of theta
         assert eps_nash == pytest.approx(

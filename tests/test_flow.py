@@ -75,13 +75,14 @@ class TestNashGap:
 
     def test_empty_support_raises(self, grid):
         with pytest.raises(ValueError, match="empty support"):
-            nash_gap(field(grid, grid.axes[0]), np.zeros(grid.shape))
+            nash_gap(field(grid, grid.axes[0]), field(grid, np.zeros(grid.shape)))
 
 
 class TestSelectLowestIncome:
     def test_monotone_income(self, grid, uniform):
         theta = field(grid, grid.axes[0])
         m_minus, m_plus, eta = select_lowest_income(uniform, theta, 0.1)
+        m_minus, m_plus = m_minus.values, m_plus.values
         assert eta == pytest.approx(0.1, abs=2 * grid.spacing)
         assert integrate(m_minus, grid) == pytest.approx(0.1, abs=1e-10)
         assert grid.axes[0][m_minus > 0].max() <= 0.1 + 2 * grid.spacing
@@ -91,7 +92,7 @@ class TestSelectLowestIncome:
     def test_constant_income_proportional(self, grid, uniform):
         theta = field(grid, np.full(grid.shape, 2.0))
         m_minus, _, _ = select_lowest_income(uniform, theta, 0.3)
-        assert np.allclose(m_minus, 0.3 * uniform.values)
+        assert np.allclose(m_minus.values, 0.3 * uniform.values)
 
     def test_cdf_inverse_oracle(self, grid):
         # density 2x, income x: mass below level eta is eta^2, so the
@@ -100,7 +101,7 @@ class TestSelectLowestIncome:
         theta = field(grid, grid.axes[0])
         m_minus, _, eta = select_lowest_income(m, theta, 0.25)
         assert eta == pytest.approx(0.5, abs=2 * grid.spacing)
-        assert integrate(m_minus, grid) == pytest.approx(0.25, abs=1e-10)
+        assert integrate(m_minus.values, grid) == pytest.approx(0.25, abs=1e-10)
 
     def test_rejects_overdraw(self, grid, uniform):
         theta = field(grid, grid.axes[0])
@@ -114,8 +115,8 @@ class TestSelectLowestIncome:
         short = Density(uniform.values * (1.0 - 5e-11), grid)
         for m in (uniform, short):
             m_minus, m_plus, _ = select_lowest_income(m, theta, 1.0)
-            assert integrate(m_minus, grid) == pytest.approx(1.0, abs=1e-10)
-            assert np.abs(m_plus).max() <= 1e-12
+            assert integrate(m_minus.values, grid) == pytest.approx(1.0, abs=1e-10)
+            assert np.abs(m_plus.values).max() <= 1e-12
 
     def test_matches_brute_force_level_scan(self, grid):
         rng = np.random.default_rng(2024)
@@ -125,7 +126,7 @@ class TestSelectLowestIncome:
             eps = float(rng.uniform(0.01, 0.9))
             m_minus, _, _ = select_lowest_income(m, theta, eps)
             oracle = brute_force_lowest(grid, m.values, theta.values, eps)
-            assert np.abs(m_minus - oracle).max() <= 1e-10
+            assert np.abs(m_minus.values - oracle).max() <= 1e-10
 
 
 class TestSelectFarthest:
@@ -134,7 +135,7 @@ class TestSelectFarthest:
         theta = field(grid, grid.axes[0])
         far, _, _ = select_farthest(uniform, v, 0.1)
         low, _, _ = select_lowest_income(uniform, theta, 0.1)
-        assert np.abs(far - low).max() <= 1e-12
+        assert np.abs(far.values - low.values).max() <= 1e-12
 
     def test_zero_distance_everywhere_is_empty(self, grid, uniform):
         v = field(grid, np.zeros(grid.shape))
@@ -145,18 +146,18 @@ class TestSelectFarthest:
         x = grid.axes[0]
         v = field(grid, np.minimum(x, 1.0 - x))
         m_minus, _, _ = select_farthest(uniform, v, 0.1)
-        sel = x[m_minus > 0]
+        sel = x[m_minus.values > 0]
         assert sel.min() >= 0.45 - 2 * grid.spacing
         assert sel.max() <= 0.55 + 2 * grid.spacing
-        assert integrate(m_minus, grid) == pytest.approx(0.1, abs=1e-10)
+        assert integrate(m_minus.values, grid) == pytest.approx(0.1, abs=1e-10)
 
     def test_income_tiebreak_prefers_poorer(self, grid, uniform):
         x = grid.axes[0]
         v = field(grid, np.minimum(x, 1.0 - x))
         theta = field(grid, x)  # left side poorer at equal distance
         m_minus, _, _ = select_farthest(uniform, v, 0.02, income=theta)
-        weights_left = m_minus[: grid.n // 2 + 1].sum()
-        weights_right = m_minus[grid.n // 2 + 1 :].sum()
+        weights_left = m_minus.values[: grid.n // 2 + 1].sum()
+        weights_right = m_minus.values[grid.n // 2 + 1 :].sum()
         assert weights_left > weights_right
 
 
@@ -164,39 +165,41 @@ class TestRedistribute:
     def test_constant_linear_plateau(self, grid):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=2.0)
         theta = field(grid, np.full(grid.shape, 2.0))
-        nu, level, theta_bar = redistribute(np.zeros(grid.shape), theta, model, 0.25)
+        nu, level, theta_bar = redistribute(
+            field(grid, np.zeros(grid.shape)), theta, model, 0.25
+        )
         assert theta_bar == 2.0
         # height f - P theta_bar = 1 everywhere; one big tie level, so
         # the slice is the proportional film 0.25 * 1
-        assert np.allclose(nu, 0.25)
-        assert integrate(nu, grid) == pytest.approx(0.25, abs=1e-10)
+        assert np.allclose(nu.values, 0.25)
+        assert integrate(nu.values, grid) == pytest.approx(0.25, abs=1e-10)
 
     def test_constant_nonlinear_height(self, grid):
         model = ModelSpec.nonlinear(mu=0.1, K=4.0)
         theta = field(grid, np.full(grid.shape, 3.0))
-        nu, _, theta_bar = redistribute(np.zeros(grid.shape), theta, model, 0.5)
+        nu, _, theta_bar = redistribute(field(grid, np.zeros(grid.shape)), theta, model, 0.5)
         assert theta_bar == 3.0
-        assert np.allclose(nu, 0.5 * (4.0 - 3.0))
+        assert np.allclose(nu.values, 0.5 * (4.0 - 3.0))
 
     def test_matches_brute_force_level_scan(self, grid):
         from mfgflow import solve_linear
 
         model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
         m0 = normalize(np.ones(grid.shape), grid)
-        theta = solve_linear(model, m0, grid)
+        theta = solve_linear(model, m0)
         m_minus, m_plus, _ = select_lowest_income(m0, theta, 0.1)
         nu, level, theta_bar = redistribute(m_plus, theta, model, 0.1)
-        height = np.maximum(4.0 * grid.axes[0] - 0.5 * theta_bar - m_plus, 0.0)
+        height = np.maximum(4.0 * grid.axes[0] - 0.5 * theta_bar - m_plus.values, 0.0)
         oracle = brute_force_lowest(grid, height, -theta.values, 0.1)
-        assert np.abs(nu - oracle).max() <= 1e-10
-        assert integrate(nu, grid) == pytest.approx(0.1, abs=1e-10)
+        assert np.abs(nu.values - oracle).max() <= 1e-10
+        assert integrate(nu.values, grid) == pytest.approx(0.1, abs=1e-10)
 
     def test_shortfall_reported(self, grid):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=2.0)
         theta = field(grid, np.full(grid.shape, 2.0))
         # capacity is exactly 1, so 1.5 cannot be absorbed
         with pytest.raises(RedistributionShortfallError):
-            redistribute(np.zeros(grid.shape), theta, model, 1.5)
+            redistribute(field(grid, np.zeros(grid.shape)), theta, model, 1.5)
 
 
 class TestFlowStep:

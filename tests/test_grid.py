@@ -82,20 +82,6 @@ def test_shape_mismatch_rejected():
         integrate(np.ones(7), grid)
 
 
-def test_field_grid_vs_argument_grid_mismatch():
-    from mfgflow import normalize
-
-    g1, g2 = make_grid(1, 10), make_grid(1, 20)
-    m = normalize(np.ones(g1.shape), g1)
-    with pytest.raises(ValueError):
-        integrate(m, g2)
-
-
-def test_bare_array_needs_grid():
-    with pytest.raises(ValueError):
-        integrate(np.ones(11))
-
-
 def test_2d_integration():
     grid = make_grid(2, 100)
     X, Y = grid.coords()

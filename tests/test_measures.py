@@ -31,17 +31,17 @@ class TestNormalize:
     def test_half_indicator(self, grid):
         m = normalize(indicator(grid, 0.0, 0.5), grid)
         assert m.values.max() == pytest.approx(2.0, rel=1e-2)
-        assert integrate(m, grid) == pytest.approx(1.0, abs=1e-10)
+        assert integrate(m.values, grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_clipped_sine(self, grid):
         raw = np.maximum(0.0, np.sin(3 * np.pi * grid.axes[0]))
         m = normalize(raw, grid)
-        assert integrate(m, grid) == pytest.approx(1.0, abs=1e-10)
+        assert integrate(m.values, grid) == pytest.approx(1.0, abs=1e-10)
         assert m.values.min() >= 0.0
 
     def test_idempotent(self, grid):
         m = normalize(np.exp(grid.axes[0]), grid)
-        again = normalize(m)
+        again = normalize(m.values, m.grid)
         assert np.array_equal(m.values, again.values)
 
     def test_rejects_zero_field(self, grid):
@@ -163,7 +163,7 @@ class TestRandomDensity:
         for seed in range(5):
             m = random_density(seed, grid)
             assert m.values.min() >= 0.0
-            assert integrate(m, grid) == pytest.approx(1.0, abs=1e-10)
+            assert integrate(m.values, grid) == pytest.approx(1.0, abs=1e-10)
 
     def test_twelve_seeds_distinct(self, grid):
         densities = [random_density(seed, grid) for seed in range(12)]
