@@ -16,7 +16,9 @@ from .eikonal import TargetSet, solve_eikonal
 from .elliptic import ModelSpec, pde_residual, solve_linear, solve_nonlinear
 from .flow import FlowConfig, FlowResult, nash_gap, run_flow, select_lowest_income
 from .grid import integrate, make_grid
-from .measures import Density, ScalarField, grid_of, normalize, random_density
+from .measures import (
+    Density, ScalarField, density_grid, grid_of, normalize, random_density
+)
 
 
 class StudyError(RuntimeError):
@@ -94,7 +96,7 @@ def refinement_study(
     """
     if pairs < 1:
         raise ValueError("need at least one consecutive pair")
-    grid = grid_of(m0)
+    grid = density_grid(m0)
     w = grid.quad_weights
     epsilons = [eps0 / 2**k for k in range(pairs + 1)]
     trajectories = []

@@ -15,13 +15,19 @@ with F the primitive (fixed by F(0)=0) of the right-hand side, under the
 constraint theta >= 0.  The nonlinear equation always admits the trivial
 branch theta == 0; Newton-type iterations can land on it unpredictably,
 which is why descent on J from a positive initialization is used
-instead.
+instead.  K must be positive somewhere; otherwise theta == 0 is the
+only solution and the model is rejected.
+
+The operators a model needs on one grid (-Lap, the energy weights and
+the factorized system matrix or preconditioner) are built once per
+model and grid and cached on the model.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,8 +80,8 @@ class ModelSpec:
     kind is "linear" (fields mu, P, f) or "nonlinear" (fields mu, K).
     Coefficients are scalars or arrays matching the solve grid (a model
     has no grid of its own); they are broadcast at solve time.  Instances
-    cache the factorized linear operator per grid and must not be mutated
-    after first use.
+    cache their operators per grid, one entry per (dim, n), and must not
+    be mutated after first use.
     """
 
     kind: str
@@ -92,6 +98,8 @@ class ModelSpec:
             raise ValueError("viscosity mu must be positive and finite")
         for name in ("P", "f", "K"):
             coef = getattr(self, name)
+            if isinstance(coef, ScalarField):
+                raise ValueError(f"{name} is a ScalarField; pass its .values")
             if coef is not None and not np.isfinite(coef).all():
                 raise ValueError(f"{name} must be finite everywhere")
         if self.kind == "linear":
@@ -105,6 +113,8 @@ class ModelSpec:
         else:
             if self.K is None:
                 raise ValueError("nonlinear model needs K")
+            if np.max(self.K) <= 0.0:
+                raise ValueError("K must be positive somewhere")
 
     @classmethod
     def linear(cls, mu, P, f) -> "ModelSpec":
@@ -142,20 +152,38 @@ def neumann_laplacian(grid: Grid) -> sp.csr_matrix:
 BACKWARD_ERROR_FACTOR = 64.0
 
 
-def _linear_operator(model: ModelSpec, grid: Grid):
-    """(A, factorization of A, max-norm of A), cached per grid."""
-    key = ("linear", grid.dim, grid.n)
-    op = model._cache.get(key)
-    if op is None:
-        P = model.coefficient("P", grid).ravel()
-        A = (model.mu * neumann_laplacian(grid) + sp.diags(P)).tocsc()
+class _Operators(NamedTuple):
+    """What a model needs on one grid, built once and cached on the model."""
+
+    lap: sp.csr_matrix  # -Lap with reflected Neumann rows
+    weights: np.ndarray  # trapezoidal weights; lap is the gradient of their energy
+    system: sp.csc_matrix  # mu (-Lap) + diag(P), or the preconditioner -Lap + c I
+    lu: object  # factorization of system
+    norm: float  # max row sum of system
+
+
+def _operators(model: ModelSpec, grid: Grid) -> _Operators:
+    key = (grid.dim, grid.n)
+    ops = model._cache.get(key)
+    if ops is None:
+        lap = neumann_laplacian(grid)
+        w1 = np.full(grid.n + 1, grid.spacing)
+        w1[0] = w1[-1] = grid.spacing / 2.0
+        weights = w1 if grid.dim == 1 else np.outer(w1, w1)
+        if model.kind == "linear":
+            system = model.mu * lap + sp.diags(model.coefficient("P", grid).ravel())
+        else:
+            # c bounds the reaction curvature (K - 2 theta - m)/mu from above
+            c = 1.0 + float(np.max(model.coefficient("K", grid))) / model.mu
+            system = lap + c * sp.identity(grid.num_nodes)
+        system = system.tocsc()
         try:
-            lu = splu(A)
+            lu = splu(system)
         except RuntimeError as exc:  # singular factorization
-            raise SolverError(f"linear payoff operator is singular: {exc}") from exc
-        op = (A, lu, float(abs(A).sum(axis=1).max()))
-        model._cache[key] = op
-    return op
+            raise SolverError(f"payoff operator is singular: {exc}") from exc
+        ops = _Operators(lap, weights, system, lu, float(abs(system).sum(axis=1).max()))
+        model._cache[key] = ops
+    return ops
 
 
 def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
@@ -171,11 +199,11 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
     if model.kind != "linear":
         raise ValueError("solve_linear needs a linear model")
     grid = grid_of(m)
-    A, lu, a_norm = _linear_operator(model, grid)
+    ops = _operators(model, grid)
     rhs = (model.coefficient("f", grid) - m.values).ravel()
-    theta = lu.solve(rhs)
-    resid = np.abs(A @ theta - rhs).max()
-    scale = a_norm * np.abs(theta).max() + np.abs(rhs).max()
+    theta = ops.lu.solve(rhs)
+    resid = np.abs(ops.system @ theta - rhs).max()
+    scale = ops.norm * np.abs(theta).max() + np.abs(rhs).max()
     bound = BACKWARD_ERROR_FACTOR * np.finfo(float).eps / 2.0 * scale
     if not np.isfinite(theta).all() or not resid <= bound:
         raise SolverError(
@@ -183,39 +211,6 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
             residual=resid,
         )
     return ScalarField(theta.reshape(grid.shape), grid)
-
-
-def _nonlinear_terms(model: ModelSpec, m_vals: np.ndarray, grid: Grid):
-    K = model.coefficient("K", grid)
-
-    def fprime(theta):
-        # right-hand side theta(K - theta) - m theta; its primitive
-        # (fixed by F(0) = 0) is K theta^2/2 - theta^3/3 - m theta^2/2
-        return theta * (K - theta) - m_vals * theta
-
-    return K, fprime
-
-
-def _energy_weights(grid: Grid) -> np.ndarray:
-    """Node weights making the reflected stencil the exact gradient of
-    the edge-difference energy (trapezoidal in every dimension)."""
-    n, dx = grid.n, grid.spacing
-    w1 = np.full(n + 1, dx)
-    w1[0] = w1[-1] = dx / 2.0
-    if grid.dim == 1:
-        return w1
-    return np.outer(w1, w1)
-
-
-def _preconditioner(model: ModelSpec, grid: Grid):
-    key = ("precond", grid.dim, grid.n)
-    lu = model._cache.get(key)
-    if lu is None:
-        c = 1.0 + max(float(np.max(model.coefficient("K", grid))), 0.0) / model.mu
-        H = (neumann_laplacian(grid) + c * sp.identity(grid.num_nodes)).tocsc()
-        lu = splu(H)
-        model._cache[key] = lu
-    return lu
 
 
 def solve_nonlinear(
@@ -231,7 +226,8 @@ def solve_nonlinear(
     Laplacian (-Lap + c I), which removes the grid-scale stiffness of
     plain gradient steps.  Initialization is max(K - m, init_floor)
     unless theta0 (a warm start) is supplied; the positive start steers
-    the descent away from the trivial critical point theta == 0.
+    the descent away from the trivial critical point theta == 0.  A warm
+    start that collapses onto it is retried from the cold start.
 
     Returns the zero field (with a TrivialBranchWarning) when descent
     collapses onto the trivial branch, i.e. when no positive solution is
@@ -242,13 +238,17 @@ def solve_nonlinear(
     if opts is None:
         opts = NonlinearSolveOptions()
     grid = grid_of(m) if theta0 is None else grid_of(m, theta0)
+    ops = _operators(model, grid)
+    lap, w = ops.lap, ops.weights
+    K = model.coefficient("K", grid)
     m_vals = m.values
-    K, fprime = _nonlinear_terms(model, m_vals, grid)
-    lap = neumann_laplacian(grid)
-    wE = _energy_weights(grid)
-    lu = _preconditioner(model, grid)
     mu = model.mu
     strong_tol = opts.grad_tol / grid.spacing**grid.dim
+
+    def fprime(theta):
+        # right-hand side theta(K - theta) - m theta; its primitive
+        # (fixed by F(0) = 0) is K theta^2/2 - theta^3/3 - m theta^2/2
+        return theta * (K - theta) - m_vals * theta
 
     def strong_grad(theta):
         # residual of -Lap(theta) - F'(theta)/mu, nodewise
@@ -259,54 +259,36 @@ def solve_nonlinear(
         # theta, so the difference has a closed form free of the
         # large-magnitude cancellation of evaluating J twice
         quad = delta.ravel() @ (
-            wE.ravel() * (lap @ (theta + 0.5 * delta).ravel())
+            w.ravel() * (lap @ (theta + 0.5 * delta).ravel())
         )
         d_primitive = (
             fprime(theta) * delta
             + 0.5 * (K - 2.0 * theta - m_vals) * delta**2
             - delta**3 / 3.0
         )
-        return quad - np.sum(wE * d_primitive) / mu
+        return quad - np.sum(w * d_primitive) / mu
 
-    def default_init():
-        return np.maximum(K - m_vals, opts.init_floor)
-
-    if theta0 is not None:
-        theta = np.maximum(theta0.values, 0.0)
-        if theta.max() <= opts.init_floor:
-            theta = default_init()
-    else:
-        theta = default_init()
-
-    for start in range(2):
-        converged = False
-        grad_norm = np.inf
+    def descend(theta):
         for _ in range(opts.max_iters):
             g = strong_grad(theta)
-            grad_norm = float(np.abs(g).max())
-            if grad_norm <= strong_tol:
-                converged = True
-                break
-            direction = lu.solve(g.ravel()).reshape(grid.shape)
-            theta = _armijo_step(theta, g, direction, wE, energy_increment)
-            if theta is None:
-                break
-        if theta is None:
-            raise SolverError("nonlinear line search stalled", residual=grad_norm)
-        if not converged:
-            raise SolverError(
-                "nonlinear solve did not converge within max_iters",
-                last_iterate=ScalarField(theta, grid),
-                residual=float(np.abs(strong_grad(theta)).max()),
-            )
-        if theta.max() > 10.0 * opts.init_floor or float(np.max(K)) <= 0.0:
-            break
-        if start == 0 and theta0 is not None:
-            theta = default_init()  # warm start collapsed; retry cold
-            continue
-        break
+            if np.abs(g).max() <= strong_tol:
+                return theta
+            direction = ops.lu.solve(g.ravel()).reshape(grid.shape)
+            theta = _armijo_step(theta, g, direction, w, energy_increment)
+        raise SolverError(
+            "nonlinear solve did not converge within max_iters",
+            last_iterate=ScalarField(theta, grid),
+            residual=float(np.abs(strong_grad(theta)).max()),
+        )
 
-    if theta.max() <= 10.0 * opts.init_floor and float(np.max(K)) > 1e-8:
+    collapsed = 10.0 * opts.init_floor
+    cold = start = np.maximum(K - m_vals, opts.init_floor)
+    if theta0 is not None and theta0.values.max() > opts.init_floor:
+        start = np.maximum(theta0.values, 0.0)
+    theta = descend(start)
+    if theta.max() <= collapsed and start is not cold:
+        theta = descend(cold)  # the warm start collapsed; retry cold
+    if theta.max() <= collapsed:
         warnings.warn(
             "nonlinear payoff solve returned the trivial zero branch",
             TrivialBranchWarning,
@@ -316,28 +298,29 @@ def solve_nonlinear(
     return ScalarField(theta, grid)
 
 
-def _armijo_step(theta, g, direction, wE, energy_increment, sigma=1e-4):
+def _armijo_step(theta, g, direction, w, energy_increment, sigma=1e-4):
     """One projected backtracking step along the preconditioned
     direction, falling back to the raw gradient.  Sufficient decrease is
-    tested on the exact energy increment.  None when no step passes.
+    tested on the exact energy increment.  Raises SolverError when no
+    step passes.
     """
     for d in (direction, g):
         alpha = 1.0
         for _ in range(60):
             cand = np.maximum(theta - alpha * d, 0.0)
             delta = cand - theta
-            decrease = np.sum(wE * g * delta)
+            decrease = np.sum(w * g * delta)
             if decrease < 0.0 and energy_increment(theta, delta) <= sigma * decrease:
                 return cand
             alpha /= 2.0
-    return None
+    raise SolverError("nonlinear line search stalled", residual=float(np.abs(g).max()))
 
 
 def pde_residual(model: ModelSpec, m: ScalarField, theta: ScalarField) -> float:
     """Max norm of the discrete PDE residual of theta for the model."""
     grid = grid_of(m, theta)
     m_vals, th = m.values, theta.values
-    lap_theta = (neumann_laplacian(grid) @ th.ravel()).reshape(grid.shape)
+    lap_theta = (_operators(model, grid).lap @ th.ravel()).reshape(grid.shape)
     if model.kind == "linear":
         res = (
             model.mu * lap_theta

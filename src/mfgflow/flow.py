@@ -20,7 +20,7 @@ from .eikonal import extract_target, solve_eikonal
 from .elliptic import ModelSpec, SolverError, solve_payoff
 from .grid import integrate
 from .measures import (
-    NORMALIZATION_TOL, Density, ScalarField, grid_of, support, tv_distance
+    NORMALIZATION_TOL, Density, ScalarField, density_grid, grid_of, support, tv_distance,
 )
 
 # The eikonal variant's target holds every node whose income lies within
@@ -283,7 +283,7 @@ def flow_step(m: Density, model: ModelSpec, eps: float, variant: str = "best_res
     Returns (m_next, theta_next, residual); raises RuntimeError naming
     the reason when the move is rejected.
     """
-    grid = grid_of(m)
+    grid = density_grid(m)
     theta = solve_payoff(model, m)
     gap = nash_gap(theta, m)
     # roundoff-floor recognizer: a flat payoff over the support means
@@ -314,7 +314,7 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
     termination reason), not an exception; only a failure of the
     initial payoff solve raises SolverError.
     """
-    grid = grid_of(m0)
+    grid = density_grid(m0)
     tau = cfg.tau if cfg.tau is not None else grid.spacing
     adaptive = cfg.fixed_eps is None
     eps_start = cfg.eps0 if adaptive else cfg.fixed_eps

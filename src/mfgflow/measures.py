@@ -8,7 +8,7 @@ through the constructors `ScalarField(values, grid)`,
 `Density(values, grid)` and `normalize(values, grid)`, and through the
 quadrature `integrate(values, grid)` of the grid module below; every
 other public function reads its grid from its field arguments with
-`grid_of`.
+`grid_of`, or with `density_grid` where it takes a starting `Density`.
 """
 
 from __future__ import annotations
@@ -72,12 +72,22 @@ def grid_of(*fields) -> Grid:
     return grid
 
 
+def density_grid(m) -> Grid:
+    """The grid of a starting density; ValueError unless m is a Density."""
+    grid = grid_of(m)
+    if not isinstance(m, Density):
+        raise ValueError(f"the start must be a Density, not a {type(m).__name__}")
+    return grid
+
+
 def normalize(values, grid: Grid) -> Density:
     """Rescale nonnegative node values so they integrate to one.
 
     Raises ValueError on negative entries or an (numerically) all-zero
     field.  Idempotent on the values of a density.
     """
+    if isinstance(values, ScalarField):
+        raise ValueError("normalize takes node values; pass the field's .values")
     vals = np.asarray(values, dtype=float)
     if vals.min() < 0.0:
         raise ValueError("cannot normalize a field with negative values")

@@ -165,6 +165,14 @@ def test_nonfinite_coefficient_exit_3(tmp_path, capsys):
     assert "f must be finite" in capsys.readouterr().err
 
 
+def test_nonpositive_capacity_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "barren.cfg"
+    cfg.write_text("kind = nonlinear\ndim = 1\nK = -1\n")
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "K must be positive somewhere" in capsys.readouterr().err
+
+
 def test_stress_command(tmp_path, capsys):
     code = main(
         ["stress", "--preset", "linear-4x", "--grid", "200", "--seeds", "2",

@@ -95,6 +95,15 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(kind="nonlinear", mu=0.1)
 
+    @pytest.mark.parametrize(
+        "K", [-1.0, 0.0, -np.ones(11), np.linspace(-1.0, 0.0, 11)],
+        ids=["-1", "0", "negative-array", "ramp-to-0"],
+    )
+    def test_rejects_nonpositive_capacity(self, K):
+        # theta == 0 is then the only solution
+        with pytest.raises(ValueError, match="K must be positive somewhere"):
+            ModelSpec.nonlinear(mu=0.1, K=K)
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             NonlinearSolveOptions(grad_tol=0.0)
@@ -274,12 +283,25 @@ class TestNonlinearSolve:
         warm = solve_nonlinear(model, m, theta0=cold)
         assert np.abs(cold.values - warm.values).max() <= 1e-5
 
+    def test_descent_failures_raise(self):
+        grid = make_grid(1, 100)
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.axes[0])
+        # below roundoff no step decreases the energy any more
+        with pytest.raises(SolverError, match="line search stalled") as stall:
+            solve_nonlinear(model, uniform(grid), NonlinearSolveOptions(grad_tol=1e-300))
+        assert 0.0 < stall.value.residual <= 1e-6
+        with pytest.raises(SolverError, match="within max_iters") as capped:
+            solve_nonlinear(model, uniform(grid), NonlinearSolveOptions(max_iters=3))
+        assert capped.value.last_iterate.grid is grid
+        assert capped.value.residual > 1e-8 / grid.spacing
+
     def test_zero_capacity_gives_trivial_branch(self):
         grid = make_grid(1, 200)
-        model = ModelSpec.nonlinear(mu=0.1, K=1e-7)
-        with pytest.warns(TrivialBranchWarning):
-            theta = solve_nonlinear(model, uniform(grid))
-        assert np.all(theta.values == 0.0)
+        for K in (1e-7, 5e-9):
+            model = ModelSpec.nonlinear(mu=0.1, K=K)
+            with pytest.warns(TrivialBranchWarning):
+                theta = solve_nonlinear(model, uniform(grid))
+            assert np.all(theta.values == 0.0)
 
 
 class TestResidual:
@@ -321,3 +343,34 @@ class TestResidual:
         got = pde_residual(model, m, theta)
         want = loop_stencil_residual(model, m.values, theta, grid)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestOperatorCache:
+    def test_laplacian_built_once_per_model_and_grid(self, monkeypatch):
+        builds = []
+
+        def counting_laplacian(grid):
+            builds.append((grid.dim, grid.n))
+            return neumann_laplacian(grid)
+
+        monkeypatch.setattr(elliptic, "neumann_laplacian", counting_laplacian)
+        grid = make_grid(1, 200)
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.axes[0])
+        m = uniform(grid)
+        theta = solve_nonlinear(model, m)
+        for _ in range(3):
+            theta = solve_nonlinear(model, m, theta0=theta)
+            pde_residual(model, m, theta)
+        assert builds == [(1, 200)]
+
+    def test_reused_model_matches_fresh_model(self):
+        K = 4.0  # a scalar coefficient lets one model serve every grid
+        model = ModelSpec.nonlinear(mu=0.1, K=K)
+        grids = [make_grid(1, 100), make_grid(1, 200), make_grid(1, 100), make_grid(2, 20)]
+        for grid in grids:
+            m = normalize(1.0 + grid.coords()[0], grid)
+            reused = solve_nonlinear(model, m).values
+            fresh = solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=K), m).values
+            assert np.array_equal(reused, fresh)
+            assert pde_residual(model, m, ScalarField(reused, grid)) <= 1e-5
+        assert sorted(model._cache) == [(1, 100), (1, 200), (2, 20)]

@@ -106,3 +106,29 @@ def test_selection_returns_fields_on_the_grid_of_m():
     nu, _, _ = redistribute(m_plus, THETA, LINEAR, 0.1)
     for out in (m_minus, m_plus, nu):
         assert isinstance(out, ScalarField) and out.grid is GRID
+
+
+START = ScalarField(2.0 * np.ones(GRID.shape), GRID)  # mass 2, not a Density
+
+START_CALLS = {
+    "flow_step": lambda: flow_step(START, LINEAR, 0.1),
+    "run_flow": lambda: run_flow(LINEAR, START, FlowConfig()),
+    "refinement_study": lambda: refinement_study(LINEAR, START, pairs=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(START_CALLS))
+def test_start_must_be_a_density(name):
+    # a mass-2 start used to be rescaled silently by the first step
+    with pytest.raises(ValueError, match="start must be a Density"):
+        START_CALLS[name]()
+
+
+def test_field_coefficient_rejected():
+    with pytest.raises(ValueError, match=r"pass its \.values"):
+        ModelSpec.nonlinear(mu=0.1, K=THETA)
+
+
+def test_normalize_rejects_a_field():
+    with pytest.raises(ValueError, match=r"pass the field's \.values"):
+        normalize(M, GRID)
