@@ -13,21 +13,24 @@ solved by minimizing the energy
 
 with F the primitive (fixed by F(0)=0) of the right-hand side, under the
 constraint theta >= 0.  The nonlinear equation always admits the trivial
-branch theta == 0; Newton-type iterations can land on it unpredictably,
-which is why descent on J from a positive initialization is used
-instead.  K must be positive somewhere; otherwise theta == 0 is the
-only solution and the model is rejected.
+branch theta == 0.  The minimization takes chord-Newton directions (a
+factorized Jacobian reused while it keeps contracting the residual) but
+accepts a step only when a projected Armijo test on the exact energy
+increment passes, and starts from a positive initialization; a pure
+Newton iteration on the equation would treat theta == 0 as just
+another root.  K must be positive somewhere; otherwise theta == 0 is
+the only solution and the model is rejected.
 
-The operators a model needs on one grid (-Lap, the energy weights and
-the factorized system matrix or preconditioner) are built once per
-model and grid and cached on the model.
+The operators a model needs on one grid (-Lap, the energy weights, the
+factorized linear system or the latest factorized Jacobian) are built
+once per model and grid and cached on the model.
 """
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,11 +60,13 @@ class NonlinearSolveOptions:
     grad_tol is interpreted against the energy gradient scaled by the
     per-node grid weight, i.e. the solve stops once the strong-form
     stationarity residual max |Lap(theta) + F'(theta)/mu| drops below
-    grad_tol / spacing^dim.
+    grad_tol / spacing^dim.  max_iters caps the Newton steps of one
+    descent; converging solves in the tests and the benchmark take at
+    most 15.
     """
 
     grad_tol: float = 1e-8
-    max_iters: int = 100_000
+    max_iters: int = 200
     init_floor: float = 1e-3
 
     def __post_init__(self):
@@ -94,12 +99,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "nonlinear"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        for name in ("mu", "P", "f", "K"):
+            if isinstance(getattr(self, name), ScalarField):
+                raise ValueError(f"{name} is a ScalarField; pass its .values")
         if not np.isfinite(self.mu) or self.mu <= 0.0:
             raise ValueError("viscosity mu must be positive and finite")
         for name in ("P", "f", "K"):
             coef = getattr(self, name)
-            if isinstance(coef, ScalarField):
-                raise ValueError(f"{name} is a ScalarField; pass its .values")
             if coef is not None and not np.isfinite(coef).all():
                 raise ValueError(f"{name} must be finite everywhere")
         if self.kind == "linear":
@@ -146,20 +152,47 @@ def neumann_laplacian(grid: Grid) -> sp.csr_matrix:
     return (sp.kron(lap1, eye) + sp.kron(eye, lap1)).tocsr()
 
 
+# A chord-Newton step that cuts max |g| by less than this factor
+# triggers a refactorization of the Jacobian at the next iterate.
+CHORD_CONTRACTION = 2.0
+
 # Accepted normwise backward error of a linear solve, in units of the
 # unit roundoff.  Correct solves of every preset measure at most 5.7
 # (at most 1.8 in 1D, up to n = 1e6).
 BACKWARD_ERROR_FACTOR = 64.0
 
 
-class _Operators(NamedTuple):
+@dataclass
+class _Operators:
     """What a model needs on one grid, built once and cached on the model."""
 
     lap: sp.csr_matrix  # -Lap with reflected Neumann rows
     weights: np.ndarray  # trapezoidal weights; lap is the gradient of their energy
-    system: sp.csc_matrix  # mu (-Lap) + diag(P), or the preconditioner -Lap + c I
-    lu: object  # factorization of system
-    norm: float  # max row sum of system
+    system: sp.csc_matrix | None  # mu (-Lap) + diag(P); None for the harvesting model
+    # factorization of system, or the harvesting model's latest chord
+    # Jacobian (None until its first solve)
+    lu: object
+    norm: float | None  # max row sum of system
+
+
+# SuperLU reserves a factor's storage at a fill estimate and touches
+# only part of it.  glibc keeps freed heap pages resident, so a factor
+# that lands elsewhere in the pages earlier factors touched grows the
+# resident set with every refactorization.  Returning the free pages to
+# the system before each factorization keeps the peak at live memory.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc
+    _malloc_trim = None
+
+
+def _factorize(matrix: sp.csc_matrix, **options):
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+    try:
+        return splu(matrix, **options)
+    except RuntimeError as exc:  # singular factorization
+        raise SolverError(f"payoff operator is singular: {exc}") from exc
 
 
 def _operators(model: ModelSpec, grid: Grid) -> _Operators:
@@ -172,16 +205,13 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
         weights = w1 if grid.dim == 1 else np.outer(w1, w1)
         if model.kind == "linear":
             system = model.mu * lap + sp.diags(model.coefficient("P", grid).ravel())
+            system = system.tocsc()
+            ops = _Operators(
+                lap, weights, system, _factorize(system),
+                float(abs(system).sum(axis=1).max()),
+            )
         else:
-            # c bounds the reaction curvature (K - 2 theta - m)/mu from above
-            c = 1.0 + float(np.max(model.coefficient("K", grid))) / model.mu
-            system = lap + c * sp.identity(grid.num_nodes)
-        system = system.tocsc()
-        try:
-            lu = splu(system)
-        except RuntimeError as exc:  # singular factorization
-            raise SolverError(f"payoff operator is singular: {exc}") from exc
-        ops = _Operators(lap, weights, system, lu, float(abs(system).sum(axis=1).max()))
+            ops = _Operators(lap, weights, None, None, None)
         model._cache[key] = ops
     return ops
 
@@ -221,17 +251,28 @@ def solve_nonlinear(
 ) -> ScalarField:
     """Minimize the payoff energy under theta >= 0.
 
-    Projected descent with Armijo backtracking; the descent direction is
-    the energy gradient preconditioned by the factorized shifted
-    Laplacian (-Lap + c I), which removes the grid-scale stiffness of
-    plain gradient steps.  Initialization is max(K - m, init_floor)
-    unless theta0 (a warm start) is supplied; the positive start steers
-    the descent away from the trivial critical point theta == 0.  A warm
-    start that collapses onto it is retried from the cold start.
+    Projected chord-Newton descent with Armijo backtracking.  The
+    direction solves J d = g, where g is the strong-form energy gradient
+    -Lap(theta) - F'(theta)/mu and J = -Lap - diag((K - 2 theta - m)/mu)
+    its Jacobian, factorized at some earlier iterate.  The factor is
+    cached with the model's operators and reused across solves; it is
+    rebuilt at the current iterate when the last step cut max |g| by
+    less than CHORD_CONTRACTION, or when the cached factor gives no
+    descent direction.  A cold solve (no theta0, or the cold retry)
+    factorizes at its first step, so its result depends on its inputs
+    alone.  A step is accepted only when the exact energy increment
+    passes the Armijo test; the raw gradient is tried when the Newton
+    direction fails it.
 
-    Returns the zero field (with a TrivialBranchWarning) when descent
+    Initialization is max(K - m, init_floor) unless theta0 (a warm
+    start) is supplied; the positive start and the energy test steer
+    the iteration away from the trivial critical point theta == 0.  A
+    warm start that collapses onto it is retried from the cold start.
+
+    Returns the zero field (with a TrivialBranchWarning) when the solve
     collapses onto the trivial branch, i.e. when no positive solution is
-    found.  Raises SolverError if max_iters is exhausted.
+    found.  Raises SolverError if max_iters is exhausted, the line search
+    stalls or a Jacobian is singular.
     """
     if model.kind != "nonlinear":
         raise ValueError("solve_nonlinear needs a nonlinear model")
@@ -268,13 +309,33 @@ def solve_nonlinear(
         )
         return quad - np.sum(w * d_primitive) / mu
 
-    def descend(theta):
+    def refactor(theta):
+        ops.lu = None  # release the old factor before building the new one
+        curvature = ((K - 2.0 * theta - m_vals) / mu).ravel()
+        jacobian = (lap - sp.diags(curvature)).tocsc()
+        ops.lu = _factorize(jacobian, permc_spec="MMD_AT_PLUS_A")
+
+    def newton_direction(g):
+        return ops.lu.solve(g.ravel()).reshape(grid.shape)
+
+    def descend(theta, cold):
+        if cold:
+            ops.lu = None  # a cold solve depends on its inputs alone
+        last = np.inf
         for _ in range(opts.max_iters):
             g = strong_grad(theta)
-            if np.abs(g).max() <= strong_tol:
+            size = np.abs(g).max()
+            if size <= strong_tol:
                 return theta
-            direction = ops.lu.solve(g.ravel()).reshape(grid.shape)
+            fresh = ops.lu is None or size * CHORD_CONTRACTION > last
+            if fresh:
+                refactor(theta)
+            direction = newton_direction(g)
+            if not fresh and np.sum(w * g * direction) <= 0.0:
+                refactor(theta)  # the stale factor gives no descent direction
+                direction = newton_direction(g)
             theta = _armijo_step(theta, g, direction, w, energy_increment)
+            last = size
         raise SolverError(
             "nonlinear solve did not converge within max_iters",
             last_iterate=ScalarField(theta, grid),
@@ -282,12 +343,11 @@ def solve_nonlinear(
         )
 
     collapsed = 10.0 * opts.init_floor
-    cold = start = np.maximum(K - m_vals, opts.init_floor)
-    if theta0 is not None and theta0.values.max() > opts.init_floor:
-        start = np.maximum(theta0.values, 0.0)
-    theta = descend(start)
-    if theta.max() <= collapsed and start is not cold:
-        theta = descend(cold)  # the warm start collapsed; retry cold
+    cold = np.maximum(K - m_vals, opts.init_floor)
+    warm = theta0 is not None and theta0.values.max() > opts.init_floor
+    theta = descend(np.maximum(theta0.values, 0.0) if warm else cold, cold=not warm)
+    if theta.max() <= collapsed and warm:
+        theta = descend(cold, cold=True)  # the warm start collapsed; retry cold
     if theta.max() <= collapsed:
         warnings.warn(
             "nonlinear payoff solve returned the trivial zero branch",
@@ -299,10 +359,9 @@ def solve_nonlinear(
 
 
 def _armijo_step(theta, g, direction, w, energy_increment, sigma=1e-4):
-    """One projected backtracking step along the preconditioned
-    direction, falling back to the raw gradient.  Sufficient decrease is
-    tested on the exact energy increment.  Raises SolverError when no
-    step passes.
+    """One projected backtracking step along the Newton direction,
+    falling back to the raw gradient.  Sufficient decrease is tested on
+    the exact energy increment.  Raises SolverError when no step passes.
     """
     for d in (direction, g):
         alpha = 1.0

@@ -98,6 +98,8 @@ def integrate(values, grid: Grid) -> float:
     `values` is a plain array with the grid's shape.  This module knows
     no field types; callers holding a field pass its `.values`.
     """
+    if hasattr(values, "grid"):  # a field object, which carries its grid
+        raise ValueError("integrate takes node values; pass the field's .values")
     vals = np.asarray(values)
     if vals.shape != grid.shape:
         raise ValueError(

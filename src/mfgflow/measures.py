@@ -34,6 +34,10 @@ class ScalarField:
     grid: Grid
 
     def __post_init__(self):
+        if isinstance(self.values, ScalarField):
+            raise ValueError(
+                f"{type(self).__name__} takes node values; pass the field's .values"
+            )
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.shape:
             raise ValueError(

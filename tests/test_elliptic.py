@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from mfgflow import (
+    FlowConfig,
     ModelSpec,
     NonlinearSolveOptions,
     ScalarField,
@@ -14,6 +15,7 @@ from mfgflow import (
     normalize,
     pde_residual,
     random_density,
+    run_flow,
     solve_linear,
     solve_nonlinear,
     w1_distance_1d,
@@ -374,3 +376,105 @@ class TestOperatorCache:
             assert np.array_equal(reused, fresh)
             assert pde_residual(model, m, ScalarField(reused, grid)) <= 1e-5
         assert sorted(model._cache) == [(1, 100), (1, 200), (2, 20)]
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Count the calls of elliptic.splu from here on."""
+    calls = []
+
+    def counting_splu(A, **options):
+        calls.append(options)
+        return splu(A, **options)
+
+    monkeypatch.setattr(elliptic, "splu", counting_splu)
+    return calls
+
+
+def strong_tol(grid):
+    # pde_residual is mu times the strong-form gradient the solve tests
+    return 0.1 * NonlinearSolveOptions().grad_tol / grid.spacing**grid.dim
+
+
+class TestChordNewton:
+    def test_flow_reuses_the_jacobian(self, factorizations, monkeypatch):
+        solves = []
+        solve = elliptic.solve_nonlinear
+
+        def counting_solve(*args, **kwargs):
+            solves.append(None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(elliptic, "solve_nonlinear", counting_solve)
+        grid = make_grid(1, 200)
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.axes[0])
+        result = run_flow(model, uniform(grid), FlowConfig(eps0=0.25))
+        assert result.converged
+        assert 0 < len(factorizations) < len(solves)
+
+    def test_far_warm_start_reaches_tolerance(self):
+        grid = make_grid(1, 300)
+        x = grid.axes[0]
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * x)
+        # a warm start from the payoff of a far density, with the
+        # Jacobian factor of that density's solve still cached
+        far = solve_nonlinear(model, normalize(np.exp(-50.0 * x), grid))
+        m = normalize(np.exp(-50.0 * (1.0 - x)), grid)
+        theta = solve_nonlinear(model, m, theta0=far)
+        cold = solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=4.0 * x), m)
+        assert theta.values.max() > 1.0
+        assert np.abs(theta.values - far.values).max() > 1.0
+        assert pde_residual(model, m, theta) <= strong_tol(grid)
+        assert np.abs(theta.values - cold.values).max() <= 1e-6
+
+    def test_cold_solve_ignores_the_cached_factor(self):
+        grid = make_grid(1, 200)
+        x = grid.axes[0]
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * x)
+        solve_nonlinear(model, normalize(np.exp(-50.0 * x), grid))
+        m = uniform(grid)
+        fresh = solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=4.0 * x), m)
+        assert np.array_equal(solve_nonlinear(model, m).values, fresh.values)
+
+    def test_residual_of_unsolved_model_does_not_factorize(self, factorizations):
+        grid = make_grid(1, 200)
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.axes[0])
+        pde_residual(model, uniform(grid), ones(grid))
+        assert factorizations == []
+
+    @pytest.mark.parametrize(
+        "planted", [0.0, -1e5], ids=["indefinite", "negative-definite"]
+    )
+    def test_stale_factor_is_refactored(self, factorizations, planted):
+        grid = make_grid(1, 300)
+        K = 4.0 * grid.axes[0]
+        model = ModelSpec.nonlinear(mu=0.1, K=K)
+        m = uniform(grid)
+        cold = solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=K), m)
+        # plant the Jacobian at theta == planted: at 0 it is indefinite,
+        # at -1e5 negative definite, so its direction is an ascent one
+        ops = elliptic._operators(model, grid)
+        curvature = (K - 2.0 * planted - m.values) / 0.1
+        ops.lu = splu((ops.lap - sp.diags(curvature)).tocsc())
+        factorizations.clear()
+        start = ScalarField(cold.values + 0.5 * np.cos(np.pi * grid.axes[0]), grid)
+        theta = solve_nonlinear(model, m, theta0=start)
+        assert len(factorizations) >= 1
+        assert pde_residual(model, m, theta) <= strong_tol(grid)
+        assert np.abs(theta.values - cold.values).max() <= 1e-6
+
+    def test_solves_without_heap_trim_match(self, monkeypatch):
+        # returning free heap pages before a factorization is glibc-only;
+        # elsewhere it is skipped, and no solve may depend on it
+        grid = make_grid(1, 200)
+        K = 4.0 * grid.axes[0]
+        m = uniform(grid)
+
+        def solves():
+            return [solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=K), m).values,
+                    solve_linear(ModelSpec.linear(mu=0.1, P=0.5, f=1.0), m).values]
+
+        trimmed = solves()
+        monkeypatch.setattr(elliptic, "_malloc_trim", None)
+        for a, b in zip(trimmed, solves()):
+            assert np.array_equal(a, b)

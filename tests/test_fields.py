@@ -17,6 +17,7 @@ from mfgflow import (
     ScalarField,
     extract_target,
     flow_step,
+    integrate,
     make_grid,
     nash_certificate,
     nash_gap,
@@ -132,3 +133,18 @@ def test_field_coefficient_rejected():
 def test_normalize_rejects_a_field():
     with pytest.raises(ValueError, match=r"pass the field's \.values"):
         normalize(M, GRID)
+
+
+# each call passes a field where node values belong
+FIELD_AS_VALUES_CALLS = {
+    "ScalarField": lambda: ScalarField(THETA, GRID),
+    "Density": lambda: Density(M, GRID),
+    "ModelSpec.mu": lambda: ModelSpec(kind="linear", mu=THETA, P=0.5, f=1.0),
+    "integrate": lambda: integrate(M, GRID),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_AS_VALUES_CALLS))
+def test_field_as_node_values_rejected(name):
+    with pytest.raises(ValueError, match=r"\.values"):
+        FIELD_AS_VALUES_CALLS[name]()
