@@ -22,13 +22,14 @@ another root.  K must be positive somewhere; otherwise theta == 0 is
 the only solution and the model is rejected.
 
 The operators a model needs on one grid (-Lap, the energy weights, the
-factorized linear system or the latest factorized Jacobian) are built
-once per model and grid and cached on the model.
+factorized linear system and its source f, or the latest factorized
+Jacobian) are built once per model and grid and cached on the model.
 """
 
 from __future__ import annotations
 
 import ctypes
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -83,8 +84,9 @@ class ModelSpec:
     """Descriptor of the payoff PDE.
 
     kind is "linear" (fields mu, P, f) or "nonlinear" (fields mu, K).
-    Coefficients are scalars or arrays matching the solve grid (a model
-    has no grid of its own); they are broadcast at solve time.  Instances
+    mu is a real number (not a bool or an array).  The coefficients P,
+    f and K are scalars or arrays matching the solve grid (a model has
+    no grid of its own); they are broadcast at solve time.  Instances
     cache their operators per grid, one entry per (dim, n), and must not
     be mutated after first use.
     """
@@ -102,6 +104,8 @@ class ModelSpec:
         for name in ("mu", "P", "f", "K"):
             if isinstance(getattr(self, name), ScalarField):
                 raise ValueError(f"{name} is a ScalarField; pass its .values")
+        if not isinstance(self.mu, numbers.Real) or isinstance(self.mu, bool):
+            raise ValueError(f"mu must be a real number, got {type(self.mu).__name__}")
         if not np.isfinite(self.mu) or self.mu <= 0.0:
             raise ValueError("viscosity mu must be positive and finite")
         for name in ("P", "f", "K"):
@@ -169,6 +173,7 @@ class _Operators:
     lap: sp.csr_matrix  # -Lap with reflected Neumann rows
     weights: np.ndarray  # trapezoidal weights; lap is the gradient of their energy
     system: sp.csc_matrix | None  # mu (-Lap) + diag(P); None for the harvesting model
+    f: np.ndarray | None  # the linear model's source on the grid
     # factorization of system, or the harvesting model's latest chord
     # Jacobian (None until its first solve)
     lu: object
@@ -207,11 +212,11 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
             system = model.mu * lap + sp.diags(model.coefficient("P", grid).ravel())
             system = system.tocsc()
             ops = _Operators(
-                lap, weights, system, _factorize(system),
+                lap, weights, system, model.coefficient("f", grid), _factorize(system),
                 float(abs(system).sum(axis=1).max()),
             )
         else:
-            ops = _Operators(lap, weights, None, None, None)
+            ops = _Operators(lap, weights, None, None, None, None)
         model._cache[key] = ops
     return ops
 
@@ -219,9 +224,10 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
 def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
     """Solve -mu Lap(theta) + P theta = f - m by direct factorization.
 
-    The factorized operator is cached on the model (it depends only on
-    the grid, mu and P).  The solve is accepted when its normwise
-    backward error is a small multiple of the unit roundoff:
+    The factorized operator and f on the grid are cached on the model
+    (they depend only on the grid, mu, P and f).  The solve is accepted
+    when its normwise backward error is a small multiple of the unit
+    roundoff:
     ||A theta - b|| <= BACKWARD_ERROR_FACTOR * u * (||A|| ||theta|| + ||b||)
     in the max norm.  ||A|| grows like 4 mu / dx^2, so a test against
     ||b|| alone would reject correct solves on fine grids.
@@ -230,7 +236,7 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
         raise ValueError("solve_linear needs a linear model")
     grid = grid_of(m)
     ops = _operators(model, grid)
-    rhs = (model.coefficient("f", grid) - m.values).ravel()
+    rhs = (ops.f - m.values).ravel()
     theta = ops.lu.solve(rhs)
     resid = np.abs(ops.system @ theta - rhs).max()
     scale = ops.norm * np.abs(theta).max() + np.abs(rhs).max()

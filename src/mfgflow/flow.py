@@ -8,10 +8,25 @@ so that the step approximates one implicit move of the corresponding
 TV proximal scheme.  The step size epsilon is halved until the Nash-gap
 residual strictly decreases; epsilon resets to eps0 after every
 accepted step.
+
+Within one outer iteration theta, the distance field and the model stay
+fixed across every halving, so the iterate's first trial builds a cut
+of it that every later trial reuses: the selection order (ascending
+theta, or descending distance with income as tiebreak) with the
+cumulative masses, the descending-theta order of the plateau, the keys
+of both orders gathered in sorted order (they delimit the runs of equal
+keys), theta_bar and the plateau heights before the remaining mass is
+subtracted.  A trial is then a search of the cumulative masses and of
+the sorted keys plus sums over the taken nodes; it sorts nothing.
+The sums add the same nodes in the same order as without the cut, so
+the results are the same to the bit.  Called alone, the selection and
+redistribution functions build the part of the cut they need on the
+spot.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,95 +128,209 @@ def nash_gap(theta: ScalarField, m: ScalarField, rel_threshold: float = 1e-9) ->
     return float(th.max() - th[mask].min())
 
 
-def _ordered_slice(
-    mass: np.ndarray,
-    key: np.ndarray,
-    eps: float,
-    descending: bool,
-    tiebreak: np.ndarray | None = None,
-):
-    """Take eps of `mass` in the order of `key`, fractionally at the
-    crossing level so the slice integrates to eps exactly.
+def _sort_order(signed: np.ndarray, tiebreak: np.ndarray | None = None) -> np.ndarray:
+    """Stable ascending order of signed; equal values by ascending tiebreak."""
+    if tiebreak is None:
+        return np.argsort(signed, kind="stable")
+    return np.lexsort((tiebreak, signed))
 
-    Nodes sharing the crossing key value are scaled by one common
-    factor; an optional tiebreak field orders equal-key nodes ascending
-    before the fractional split.  Returns (per-node weights in [0,1],
-    crossing level).  The slice may exceed the available mass by
+
+@dataclass(slots=True)
+class _Ranking:
+    """The nodes in slicing order, with the sorted keys that delimit runs.
+
+    order lists the flat node indices by key (descending or ascending)
+    and then by ascending tiebreak.  sorted_keys holds the signed key
+    (the key, negated for a descending order) and the tiebreak, if any,
+    gathered in that order: ascending, and within each run of equal
+    signed keys, ascending in the tiebreak.  A run is a maximal block of
+    nodes that share one key and one tiebreak value; the sort is stable,
+    so each run lists its nodes in index order.
+    """
+
+    key: np.ndarray
+    order: np.ndarray
+    sorted_keys: tuple[np.ndarray, ...]
+
+    def run_at(self, position: int) -> tuple[int, int]:
+        """Start and end (exclusive) of the run holding position."""
+        start, end = 0, self.order.size
+        for sorted_key in self.sorted_keys:
+            block, value = sorted_key[start:end], sorted_key[position]
+            start, end = (
+                start + block.searchsorted(value, "left"),
+                start + block.searchsorted(value, "right"),
+            )
+        return start, end
+
+
+def _rank(key: np.ndarray, descending: bool, tiebreak: np.ndarray | None = None) -> _Ranking:
+    key = key.ravel()
+    signed = -key if descending else key
+    if tiebreak is None:
+        order = _sort_order(signed)
+        return _Ranking(key, order, (signed[order],))
+    tiebreak = tiebreak.ravel()
+    order = _sort_order(signed, tiebreak)
+    return _Ranking(key, order, (signed[order], tiebreak[order]))
+
+
+def _ordered_slice(mass: np.ndarray, ranking: _Ranking, eps: float, cum=None):
+    """Take eps of `mass` in the order of `ranking`, fractionally at the
+    crossing run so the slice integrates to eps exactly.
+
+    The crossing run is the run of the ranking (one key value, and one
+    tiebreak value when the ranking has a tiebreak) where the cumulative
+    mass reaches eps; its nodes are scaled by one common factor, and
+    every node ranked before it is taken whole.  cum, the cumulative
+    masses in ranking order, is recomputed unless given.  The ranking is
+    part of the per-iterate cut, so a halving trial sorts nothing: it
+    searches cum and sums the taken and crossing masses in node order,
+    the same sums whether the ranking was reused or built for this call.
+    Returns (per-node weights in [0,1] with mass's shape, crossing
+    level).  The slice may exceed the available mass by
     NORMALIZATION_TOL, the slack a Density's unit mass is allowed.
     """
-    key_flat = key.ravel()
-    mass_flat = mass.ravel()
-    signed = -key_flat if descending else key_flat
-    if tiebreak is None:
-        order = np.argsort(signed, kind="stable")
-    else:
-        order = np.lexsort((tiebreak.ravel(), signed))
-    cum = np.cumsum(mass_flat[order])
+    flat = mass.ravel()
+    if cum is None:
+        # np.cumsum's sums without its dispatch cost, which every trial pays
+        cum = np.add.accumulate(flat[ranking.order])
     total = cum[-1]
     if eps > total + NORMALIZATION_TOL:
         raise ValueError(f"requested mass {eps!r} exceeds available {total!r}")
     eps_eff = min(eps, total)
-    idx = min(int(np.searchsorted(cum, eps_eff, side="left")), order.size - 1)
-    level = key_flat[order[idx]]
-    inside = key > level if descending else key < level
-    at_level = key == level
-    if tiebreak is not None:
-        tb_level = tiebreak.ravel()[order[idx]]
-        inside = inside | (at_level & (tiebreak < tb_level))
-        at_level = at_level & (tiebreak == tb_level)
-    mass_inside = float(mass_flat[inside.ravel()].sum())
-    mass_level = float(mass_flat[at_level.ravel()].sum())
+    idx = min(int(cum.searchsorted(eps_eff, "left")), cum.size - 1)
+    start, end = ranking.run_at(idx)
+    inside = np.zeros(flat.size, dtype=bool)
+    inside[ranking.order[:start]] = True
+    crossing = ranking.order[start:end]
+    mass_inside = float(flat[inside].sum())
+    mass_level = float(flat[crossing].sum())
     frac = 0.0
     if mass_level > 0.0:
         frac = min(max((eps_eff - mass_inside) / mass_level, 0.0), 1.0)
     weights = inside.astype(float)
-    weights[at_level] = frac
-    return weights, float(level)
+    weights[crossing] = frac
+    return weights.reshape(mass.shape), float(ranking.key[ranking.order[idx]])
 
 
-def select_lowest_income(m: ScalarField, theta: ScalarField, eps: float):
+@dataclass(slots=True)
+class _Selection:
+    """The mass of m ranked for removal, with its cumulative sums."""
+
+    sources: tuple  # (m, key, tiebreak) it was built from
+    ranking: _Ranking
+    mass: np.ndarray
+    cum: np.ndarray
+
+
+def _selection(m, key, descending, tiebreak=None) -> _Selection:
+    ranking = _rank(key.values, descending, None if tiebreak is None else tiebreak.values)
+    mass = m.grid.quad_weights * m.values
+    cum = np.add.accumulate(mass.ravel()[ranking.order])
+    return _Selection((m, key, tiebreak), ranking, mass, cum)
+
+
+@dataclass(slots=True)
+class _Plateau:
+    """Descending payoff ranking and plateau heights before m_plus."""
+
+    sources: tuple  # (theta, model) it was built from
+    ranking: _Ranking
+    theta_bar: float
+    base: np.ndarray  # f - P theta_bar (linear) or K - theta_bar
+
+
+def _plateau(theta, model) -> _Plateau:
+    grid, th = theta.grid, theta.values
+    theta_bar = float(th.max())
+    if model.kind == "linear":
+        base = model.coefficient("f", grid) - model.coefficient("P", grid) * theta_bar
+    else:
+        base = model.coefficient("K", grid) - theta_bar
+    return _Plateau((theta, model), _rank(th, descending=True), theta_bar, base)
+
+
+@dataclass(slots=True)
+class _Cut:
+    """What every trial move from one iterate shares."""
+
+    selection: _Selection
+    plateau: _Plateau
+
+
+def _cut(m, theta, v, model) -> _Cut:
+    """The cut of an iterate: selection by income, or by distance v."""
+    if v is None:
+        selection = _selection(m, theta, descending=False)
+    else:
+        selection = _selection(m, v, descending=True, tiebreak=theta)
+    return _Cut(selection, _plateau(theta, model))
+
+
+def _reused(part, *sources):
+    """A part of a cut, checked to come from these very objects."""
+    if not all(map(operator.is_, part.sources, sources)):
+        raise ValueError("the cut was built from another iterate")
+    return part
+
+
+def _split(m, selection, eps):
+    weights, eta = _ordered_slice(selection.mass, selection.ranking, eps, selection.cum)
+    m_vals = m.values
+    m_minus = m_vals * weights
+    return ScalarField(m_minus, m.grid), ScalarField(m_vals - m_minus, m.grid), eta
+
+
+def select_lowest_income(m: ScalarField, theta: ScalarField, eps: float, cut=None):
     """Split m into the eps lowest-income slice and the remainder.
 
     Returns (m_minus, m_plus, eta): m_minus = m on {theta < eta} plus a
     fractional share of the eta level set, with integral exactly eps;
     m_plus = m - m_minus; both are fields on m's grid.  Ties at the
     crossing level are removed proportionally, so a constant theta
-    yields m_minus = eps * m.
+    yields m_minus = eps * m.  cut is the flow's cut of (m, theta),
+    reused across halving trials; the result is the same without it.
     """
-    grid = grid_of(m, theta)
+    grid_of(m, theta)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    m_vals, th = m.values, theta.values
-    weights, eta = _ordered_slice(grid.quad_weights * m_vals, th, eps, descending=False)
-    m_minus = m_vals * weights
-    return ScalarField(m_minus, grid), ScalarField(m_vals - m_minus, grid), eta
+    if cut is None:
+        selection = _selection(m, theta, descending=False)
+    else:
+        selection = _reused(cut.selection, m, theta, None)
+    return _split(m, selection, eps)
 
 
-def select_farthest(m: ScalarField, v: ScalarField, eps: float, income=None):
+def select_farthest(m: ScalarField, v: ScalarField, eps: float, income=None, cut=None):
     """Split m into the eps slice farthest from the target and the rest.
 
     Selection runs on descending distance v.  Distances on a grid carry
     many exact ties (in 1D they are multiples of dx); when the income
     field is supplied, equally far nodes are taken poorest-first, which
     is the tiebreak the flow uses.  Returns (m_minus, m_plus, eta) as
-    select_lowest_income does.  Raises ValueError when no mass sits at
-    positive distance (the density already lives on the target).
+    select_lowest_income does, and takes the flow's cut the same way.
+    Raises ValueError when no mass sits at positive distance (the
+    density already lives on the target).
     """
-    grid = grid_of(m, v) if income is None else grid_of(m, v, income)
+    if income is None:
+        grid_of(m, v)
+    else:
+        grid_of(m, v, income)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    m_vals, v_vals = m.values, v.values
-    if float(v_vals[m_vals > 0.0].max(initial=0.0)) <= 0.0:
+    if float(v.values[m.values > 0.0].max(initial=0.0)) <= 0.0:
         raise ValueError("all mass already sits on the target set")
-    tiebreak = None if income is None else income.values
-    weights, eta = _ordered_slice(
-        grid.quad_weights * m_vals, v_vals, eps, descending=True, tiebreak=tiebreak
-    )
-    m_minus = m_vals * weights
-    return ScalarField(m_minus, grid), ScalarField(m_vals - m_minus, grid), eta
+    if cut is None:
+        selection = _selection(m, v, descending=True, tiebreak=income)
+    else:
+        selection = _reused(cut.selection, m, v, income)
+    return _split(m, selection, eps)
 
 
-def redistribute(m_plus: ScalarField, theta: ScalarField, model: ModelSpec, eps: float):
+def redistribute(
+    m_plus: ScalarField, theta: ScalarField, model: ModelSpec, eps: float, cut=None
+):
     """Rebuild mass eps on the payoff plateau {theta >= C}.
 
     The added density has the height that flattens theta there: for the
@@ -209,33 +338,26 @@ def redistribute(m_plus: ScalarField, theta: ScalarField, model: ModelSpec, eps:
     (K - theta_bar - m_plus)+, with theta_bar the top payoff value.
     Negative pointwise heights are clamped to zero and the level C is
     lowered (with fractional weighting of the crossing level) until the
-    added mass reaches eps exactly.
+    added mass reaches eps exactly.  cut is the flow's cut of theta,
+    reused across halving trials; the result is the same without it.
 
     Returns (nu, C, theta_bar), nu a field on theta's grid.  Raises
     RedistributionShortfallError when the plateau heights over the whole
     domain cannot absorb eps.
     """
     grid = grid_of(m_plus, theta)
-    th, mp = theta.values, m_plus.values
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    theta_bar = float(th.max())
-    if model.kind == "linear":
-        height = (
-            model.coefficient("f", grid)
-            - model.coefficient("P", grid) * theta_bar
-            - mp
-        )
-    else:
-        height = model.coefficient("K", grid) - theta_bar - mp
-    height = np.maximum(height, 0.0)
-    capacity = float(np.sum(grid.quad_weights * height))
+    plateau = _plateau(theta, model) if cut is None else _reused(cut.plateau, theta, model)
+    height = np.maximum(plateau.base - m_plus.values, 0.0)
+    mass = grid.quad_weights * height
+    capacity = float(np.sum(mass))
     if capacity < eps * (1.0 - 1e-12):
         raise RedistributionShortfallError(
             f"plateau capacity {capacity!r} below requested mass {eps!r}"
         )
-    weights, level = _ordered_slice(grid.quad_weights * height, th, eps, descending=True)
-    return ScalarField(height * weights, grid), level, theta_bar
+    weights, level = _ordered_slice(mass, plateau.ranking, eps)
+    return ScalarField(height * weights, grid), level, plateau.theta_bar
 
 
 def _distance_field(grid, theta, resid):
@@ -243,9 +365,10 @@ def _distance_field(grid, theta, resid):
     return solve_eikonal(grid, extract_target(theta, zeta=TARGET_GAP_FRACTION * resid))
 
 
-def _trial(m, theta, v, model, eps, variant, allow_overlap):
+def _trial(m, theta, v, model, eps, variant, allow_overlap, cut):
     """One trial move of mass eps from the current iterate.
 
+    cut is the iterate's cut; None builds its parts on the spot.
     Returns (m_new, theta_new, residual), or the reason the move was
     rejected: "shortfall" (the plateau cannot absorb eps), "overlap"
     (removal and redistribution regions overlap while allow_overlap is
@@ -253,11 +376,11 @@ def _trial(m, theta, v, model, eps, variant, allow_overlap):
     failed).  m_new is a ScalarField, a density up to roundoff.
     """
     if variant == "best_response":
-        m_minus, m_plus, _ = select_lowest_income(m, theta, eps)
+        m_minus, m_plus, _ = select_lowest_income(m, theta, eps, cut=cut)
     else:
-        m_minus, m_plus, _ = select_farthest(m, v, eps, income=theta)
+        m_minus, m_plus, _ = select_farthest(m, v, eps, income=theta, cut=cut)
     try:
-        nu, _, _ = redistribute(m_plus, theta, model, eps)
+        nu, _, _ = redistribute(m_plus, theta, model, eps, cut=cut)
     except RedistributionShortfallError:
         return "shortfall"
     if not allow_overlap and bool(np.any((m_minus.values > 0.0) & (nu.values > 0.0))):
@@ -291,7 +414,7 @@ def flow_step(m: Density, model: ModelSpec, eps: float, variant: str = "best_res
     if gap <= 1e-11 * (1.0 + abs(theta.values.max())):
         return m, theta, gap
     v = _distance_field(grid, theta, gap) if variant == "eikonal" else None
-    trial = _trial(m, theta, v, model, eps, variant, allow_overlap=True)
+    trial = _trial(m, theta, v, model, eps, variant, allow_overlap=True, cut=None)
     if isinstance(trial, str):
         raise RuntimeError(f"step of mass {eps!r} rejected: {trial}")
     m_new, theta_new, r_new = trial
@@ -344,17 +467,20 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
 
     record(0.0, 0.0, 0)
     eps, halvings = eps_start, 0
-    v = None
+    v = cut = None
     termination = None
-    # one pass per trial; the distance field depends only on the
-    # iterate, so it is rebuilt when a new iterate takes its first trial
+    # one pass per trial; the distance field and the cut depend only on
+    # the iterate, so they are built when a new iterate takes its first
+    # trial and reused by every halving
     while termination is None and resid > tau and len(records) <= cfg.max_outer:
-        if cfg.variant == "eikonal" and halvings == 0:
-            v = _distance_field(grid, theta, resid)
-            if v.values[m.values > 0.0].max() <= 0.0:
-                termination = "empty_selection"
-                break
-        trial = _trial(m, theta, v, model, eps, cfg.variant, allow_overlap=not adaptive)
+        if halvings == 0:
+            if cfg.variant == "eikonal":
+                v = _distance_field(grid, theta, resid)
+                if v.values[m.values > 0.0].max() <= 0.0:
+                    termination = "empty_selection"
+                    break
+            cut = _cut(m, theta, v, model)
+        trial = _trial(m, theta, v, model, eps, cfg.variant, not adaptive, cut)
         if trial == "solver_failed":
             termination = trial
         elif not isinstance(trial, str) and (not adaptive or trial[2] < resid):

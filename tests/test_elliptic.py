@@ -70,6 +70,18 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec.linear(mu=0.0, P=0.5, f=1.0)
 
+    @pytest.mark.parametrize(
+        "mu", [np.full(11, 0.1), "0.1", np.array([0.1]), True],
+        ids=["array", "string", "one-element-array", "bool"],
+    )
+    def test_mu_must_be_a_real_number(self, mu):
+        with pytest.raises(ValueError, match="mu must be a real number"):
+            ModelSpec.linear(mu=mu, P=0.5, f=1.0)
+
+    @pytest.mark.parametrize("mu", [np.float64(0.1), 1], ids=["float64", "int"])
+    def test_mu_accepts_numpy_and_integer_scalars(self, mu):
+        assert ModelSpec.nonlinear(mu=mu, K=1.0).mu == mu
+
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
             ModelSpec.linear(mu=0.1, P=-0.5, f=1.0)

@@ -10,6 +10,7 @@ from mfgflow import (
     ScalarField,
     SolverError,
     build_model,
+    flow,
     flow_step,
     integrate,
     make_grid,
@@ -19,6 +20,7 @@ from mfgflow import (
     run_flow,
     select_farthest,
     select_lowest_income,
+    solve_payoff,
     tv_distance,
 )
 
@@ -329,3 +331,164 @@ class TestRunFlow:
         for step in range(min(len(a), len(b))):
             d = float(np.sum(grid.quad_weights * np.abs(a[step] - b[step])))
             assert d <= 2 * grid.spacing
+
+
+def comparison_slice(mass, key, eps, descending, tiebreak=None):
+    """Reference slice that finds the taken nodes and the crossing level
+    set by comparing every node with the crossing key (and tiebreak)."""
+    key_flat, mass_flat = key.ravel(), mass.ravel()
+    signed = -key_flat if descending else key_flat
+    if tiebreak is None:
+        order = np.argsort(signed, kind="stable")
+    else:
+        order = np.lexsort((tiebreak.ravel(), signed))
+    cum = np.cumsum(mass_flat[order])
+    eps_eff = min(eps, cum[-1])
+    idx = min(int(np.searchsorted(cum, eps_eff, side="left")), order.size - 1)
+    level = key_flat[order[idx]]
+    inside = key > level if descending else key < level
+    at_level = key == level
+    if tiebreak is not None:
+        tb_level = tiebreak.ravel()[order[idx]]
+        inside = inside | (at_level & (tiebreak < tb_level))
+        at_level = at_level & (tiebreak == tb_level)
+    mass_inside = float(mass_flat[inside.ravel()].sum())
+    mass_level = float(mass_flat[at_level.ravel()].sum())
+    frac = 0.0
+    if mass_level > 0.0:
+        frac = min(max((eps_eff - mass_inside) / mass_level, 0.0), 1.0)
+    weights = inside.astype(float)
+    weights[at_level] = frac
+    return weights, float(level)
+
+
+def bits(*values):
+    return [np.asarray(getattr(v, "values", v), dtype=float).tobytes() for v in values]
+
+
+def cut_case(name):
+    """(m, theta, v, model, eps0) of one iterate; v is None for best response."""
+    rng = np.random.default_rng(7)
+    if name.startswith("2d"):
+        grid = make_grid(2, 20)
+        model = build_model(PRESETS["linear-gauss2d"], grid)
+    else:
+        grid = make_grid(1, 1000)
+        model = build_model(PRESETS["linear-sin"], grid)
+    m = normalize(rng.uniform(0.2, 1.0, grid.shape), grid)
+    theta = solve_payoff(model, m)
+    v = None
+    if name == "constant-theta":
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=3.0)
+        theta = field(grid, np.full(grid.shape, 2.0))
+    elif name == "plateau-tie":
+        # theta = min(x, 0.6) tops out on the 401 nodes x >= 0.6, one run
+        # of the redistribution order that holds about 0.08 of capacity
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=1.5)
+        theta = field(grid, np.minimum(grid.axes[0], 0.6))
+    elif name.endswith("eikonal"):
+        v = flow._distance_field(grid, theta, nash_gap(theta, m))
+    return m, theta, v, model, 0.05 if name == "plateau-tie" else 0.2
+
+
+CUT_CASES = (
+    "constant-theta", "1d-eikonal", "plateau-tie", "2d-21x21-best_response",
+    "2d-21x21-eikonal",
+)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except RedistributionShortfallError as exc:
+        return type(exc)
+
+
+class TestCut:
+    """The cut an iterate builds once gives every halving trial the same
+    bits as the plan-free calls and the comparison-based reference."""
+
+    @pytest.mark.parametrize("name", CUT_CASES)
+    def test_cut_matches_plan_free_calls(self, name):
+        m, theta, v, model, eps0 = cut_case(name)
+        grid = m.grid
+        cut = flow._cut(m, theta, v, model)
+        if v is None:
+            select, key, descending, tiebreak = select_lowest_income, theta, False, None
+            sources = (m, theta)
+        else:
+            select, key, descending, tiebreak = select_farthest, v, True, theta
+            sources = (m, v)
+            # the distances carry exact ties, which the income breaks
+            pairs = np.stack([v.values.ravel(), theta.values.ravel()])
+            assert np.unique(v.values).size < np.unique(pairs, axis=1).shape[1]
+        kwargs = {} if tiebreak is None else {"income": tiebreak}
+        theta_bar = theta.values.max()
+        base = model.coefficient("f", grid) - model.coefficient("P", grid) * theta_bar
+        for k in range(9):
+            eps = eps0 / 2**k
+            plan_free = select(*sources, eps, **kwargs)
+            cached = select(*sources, eps, cut=cut, **kwargs)
+            weights, eta = comparison_slice(
+                grid.quad_weights * m.values, key.values, eps, descending,
+                None if tiebreak is None else tiebreak.values,
+            )
+            m_minus = m.values * weights
+            assert bits(*cached) == bits(*plan_free) == bits(m_minus, m.values - m_minus, eta)
+
+            m_plus = cached[1]
+            plan_free = outcome(redistribute, m_plus, theta, model, eps)
+            cached = outcome(redistribute, m_plus, theta, model, eps, cut=cut)
+            if isinstance(cached, type):  # both report the same shortfall
+                assert cached is plan_free is RedistributionShortfallError
+                continue
+            height = np.maximum(base - m_plus.values, 0.0)
+            weights, level = comparison_slice(
+                grid.quad_weights * height, theta.values, eps, True
+            )
+            assert bits(*cached) == bits(*plan_free) == bits(height * weights, level, theta_bar)
+            if name == "plateau-tie":
+                # the crossing falls inside the top run of 401 tied
+                # nodes, and all of them with room take a share
+                assert cached[1] == theta_bar
+                top = (theta.values == theta_bar) & (height > 0.0)
+                assert np.count_nonzero(top) > 200
+                assert np.array_equal(cached[0].values > 0.0, top)
+            if name == "constant-theta":
+                assert np.count_nonzero(weights) == grid.num_nodes
+
+    def test_cut_of_another_iterate_rejected(self, grid, uniform):
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
+        theta = solve_payoff(model, uniform)
+        cut = flow._cut(uniform, theta, None, model)
+        other = field(grid, theta.values.copy())
+        with pytest.raises(ValueError, match="another iterate"):
+            select_lowest_income(uniform, other, 0.1, cut=cut)
+        with pytest.raises(ValueError, match="another iterate"):
+            redistribute(uniform, other, model, 0.1, cut=cut)
+        with pytest.raises(ValueError, match="another iterate"):
+            select_farthest(uniform, theta, 0.1, income=theta, cut=cut)
+
+    @pytest.mark.parametrize("variant", ["best_response", "eikonal"])
+    def test_one_pair_of_sorts_per_iterate(self, grid, uniform, monkeypatch, variant):
+        calls = {"sort": 0, "trial": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(flow, "_sort_order", counting("sort", flow._sort_order))
+        for select in ("select_lowest_income", "select_farthest"):
+            monkeypatch.setattr(flow, select, counting("trial", getattr(flow, select)))
+        preset = PRESETS["linear-sin"]
+        cfg = FlowConfig(variant=variant, eps0=preset.default_eps0)
+        result = run_flow(build_model(preset, grid), uniform, cfg)
+        assert result.termination == "converged"
+        # every accepted step left an iterate that took trials; the final
+        # iterate met the tolerance and took none
+        iterates = result.iterations
+        assert calls["trial"] > iterates + 10  # halvings happened
+        assert calls["sort"] == 2 * iterates
