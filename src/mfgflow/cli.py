@@ -25,7 +25,7 @@ from .elliptic import ModelSpec, SolverError
 from .flow import FlowConfig, _distance_field, run_flow
 from .grid import make_grid
 from .measures import Density, normalize
-from .presets import PRESETS, ExpressionError, evaluate_expression
+from .presets import PRESETS, build_model, evaluate_expression
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -132,6 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
+        if name == "validate":  # runs fixed checks, so it takes no run flags
+            continue
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--preset", choices=sorted(PRESETS), help="named experiment")
         p.add_argument("--variant", choices=["best-response", "eikonal"])
@@ -182,25 +184,30 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _materialize(rc: RunConfig):
-    """Build (grid, model, flow config, metadata) from a run config."""
-    if rc.preset is not None:
-        preset = PRESETS[rc.preset]
-        dim = rc.dim if rc.dim is not None else preset.dim
-        if dim != preset.dim:
-            raise ConfigError(f"preset {rc.preset!r} is {preset.dim}D")
-        grid = make_grid(dim, rc.n)
-        from .presets import build_model
+    """Build (grid, model, flow config, metadata) from a run config.
 
-        model = build_model(preset, grid, seed=rc.seed, mu=rc.mu)
-        eps0 = rc.eps0 if rc.eps0 is not None else preset.default_eps0
-        label = preset.name
-    else:
-        if rc.kind not in ("linear", "nonlinear"):
-            raise ConfigError("need --preset, or kind = linear|nonlinear in the config")
-        if rc.dim is None:
-            raise ConfigError("expression-built models need dim")
-        grid = make_grid(rc.dim, rc.n)
-        try:
+    This is the boundary for run inputs: every ValueError raised while
+    building them is reported as a ConfigError.
+    """
+    for key, low in (("seed", 0), ("levels", 1), ("seeds", 1)):
+        if getattr(rc, key) < low:
+            raise ConfigError(f"{key} must be at least {low}, got {getattr(rc, key)}")
+    try:
+        if rc.preset is not None:
+            preset = PRESETS[rc.preset]
+            dim = rc.dim if rc.dim is not None else preset.dim
+            if dim != preset.dim:
+                raise ConfigError(f"preset {rc.preset!r} is {preset.dim}D")
+            grid = make_grid(dim, rc.n)
+            model = build_model(preset, grid, seed=rc.seed, mu=rc.mu)
+            eps0 = rc.eps0 if rc.eps0 is not None else preset.default_eps0
+            label = preset.name
+        else:
+            if rc.kind not in ("linear", "nonlinear"):
+                raise ConfigError("need --preset, or kind = linear|nonlinear in the config")
+            if rc.dim is None:
+                raise ConfigError("expression-built models need dim")
+            grid = make_grid(rc.dim, rc.n)
             if rc.kind == "linear":
                 if rc.f is None or rc.P is None:
                     raise ConfigError("linear models need f and P expressions")
@@ -213,24 +220,14 @@ def _materialize(rc: RunConfig):
                 if rc.K is None:
                     raise ConfigError("nonlinear models need a K expression")
                 model = ModelSpec.nonlinear(mu=rc.mu, K=evaluate_expression(rc.K, grid))
-        except (ExpressionError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        eps0 = rc.eps0 if rc.eps0 is not None else 0.1
-        label = rc.kind
-    if rc.tau == "dx":
-        tau = grid.spacing
-    else:
-        try:
-            tau = float(rc.tau)
-        except ValueError as exc:
-            raise ConfigError(f"bad tau {rc.tau!r}") from exc
-    try:
+            eps0 = rc.eps0 if rc.eps0 is not None else 0.1
+            label = rc.kind
         flow_cfg = FlowConfig(
             variant=rc.variant.replace("-", "_"),
             eps0=eps0,
             eps_min=rc.eps_min,
             max_outer=rc.max_outer,
-            tau=tau,
+            tau=grid.spacing if rc.tau == "dx" else float(rc.tau),
             fixed_eps=rc.fixed_eps,
         )
     except ValueError as exc:

@@ -11,17 +11,17 @@ accepted step.
 
 Within one outer iteration theta, the distance field and the model stay
 fixed across every halving, so the iterate's first trial builds a cut
-of it that every later trial reuses: the selection order (ascending
-theta, or descending distance with income as tiebreak) with the
-cumulative masses, the descending-theta order of the plateau, the keys
-of both orders gathered in sorted order (they delimit the runs of equal
-keys), theta_bar and the plateau heights before the remaining mass is
-subtracted.  A trial is then a search of the cumulative masses and of
-the sorted keys plus sums over the taken nodes; it sorts nothing.
-The sums add the same nodes in the same order as without the cut, so
-the results are the same to the bit.  Called alone, the selection and
-redistribution functions build the part of the cut they need on the
-spot.
+of it that every later trial reuses.  The cut keeps orders and sums:
+the selection order (ascending theta, or descending distance with
+income as tiebreak) with its masses and their cumulative sums, and the
+descending-theta order of the plateau with theta_bar and the plateau
+heights before the remaining mass is subtracted.  A trial sorts
+nothing: one search of the cumulative masses finds the crossing node,
+and comparing every key (and tiebreak) with that node's finds the
+taken nodes and the crossing level.  The sums add the same nodes in
+the same order as without the cut, so the results are the same to the
+bit.  Called alone, the selection and redistribution functions build
+the part of the cut they need on the spot.
 """
 
 from __future__ import annotations
@@ -128,82 +128,45 @@ def nash_gap(theta: ScalarField, m: ScalarField, rel_threshold: float = 1e-9) ->
     return float(th.max() - th[mask].min())
 
 
-def _sort_order(signed: np.ndarray, tiebreak: np.ndarray | None = None) -> np.ndarray:
-    """Stable ascending order of signed; equal values by ascending tiebreak."""
+def _sort_order(key, descending, tiebreak=None) -> np.ndarray:
+    """Stable order of the flat nodes by the field key, descending if
+    asked; equal keys by the ascending tiebreak field."""
+    signed = -key.values.ravel() if descending else key.values.ravel()
     if tiebreak is None:
         return np.argsort(signed, kind="stable")
-    return np.lexsort((tiebreak, signed))
+    return np.lexsort((tiebreak.values.ravel(), signed))
 
 
-@dataclass(slots=True)
-class _Ranking:
-    """The nodes in slicing order, with the sorted keys that delimit runs.
+def _ordered_slice(mass, order, eps, key, descending, tiebreak=None, cum=None):
+    """Take eps of `mass` in `order`, fractionally at the crossing level
+    so the slice integrates to eps exactly.
 
-    order lists the flat node indices by key (descending or ascending)
-    and then by ascending tiebreak.  sorted_keys holds the signed key
-    (the key, negated for a descending order) and the tiebreak, if any,
-    gathered in that order: ascending, and within each run of equal
-    signed keys, ascending in the tiebreak.  A run is a maximal block of
-    nodes that share one key and one tiebreak value; the sort is stable,
-    so each run lists its nodes in index order.
+    order is _sort_order(key, descending, tiebreak), and cum the
+    cumulative masses in that order (recomputed unless given).  One
+    search of cum finds the crossing node.  Comparing every key (and
+    tiebreak) with the crossing node's finds the nodes before it in the
+    order, which are taken whole, and the nodes that share its key (and
+    tiebreak), which are scaled by one common factor.  Returns (per-node
+    weights in [0,1] with mass's shape, crossing level).  The slice may
+    exceed the available mass by NORMALIZATION_TOL, the slack a
+    Density's unit mass is allowed.
     """
-
-    key: np.ndarray
-    order: np.ndarray
-    sorted_keys: tuple[np.ndarray, ...]
-
-    def run_at(self, position: int) -> tuple[int, int]:
-        """Start and end (exclusive) of the run holding position."""
-        start, end = 0, self.order.size
-        for sorted_key in self.sorted_keys:
-            block, value = sorted_key[start:end], sorted_key[position]
-            start, end = (
-                start + block.searchsorted(value, "left"),
-                start + block.searchsorted(value, "right"),
-            )
-        return start, end
-
-
-def _rank(key: np.ndarray, descending: bool, tiebreak: np.ndarray | None = None) -> _Ranking:
-    key = key.ravel()
-    signed = -key if descending else key
-    if tiebreak is None:
-        order = _sort_order(signed)
-        return _Ranking(key, order, (signed[order],))
-    tiebreak = tiebreak.ravel()
-    order = _sort_order(signed, tiebreak)
-    return _Ranking(key, order, (signed[order], tiebreak[order]))
-
-
-def _ordered_slice(mass: np.ndarray, ranking: _Ranking, eps: float, cum=None):
-    """Take eps of `mass` in the order of `ranking`, fractionally at the
-    crossing run so the slice integrates to eps exactly.
-
-    The crossing run is the run of the ranking (one key value, and one
-    tiebreak value when the ranking has a tiebreak) where the cumulative
-    mass reaches eps; its nodes are scaled by one common factor, and
-    every node ranked before it is taken whole.  cum, the cumulative
-    masses in ranking order, is recomputed unless given.  The ranking is
-    part of the per-iterate cut, so a halving trial sorts nothing: it
-    searches cum and sums the taken and crossing masses in node order,
-    the same sums whether the ranking was reused or built for this call.
-    Returns (per-node weights in [0,1] with mass's shape, crossing
-    level).  The slice may exceed the available mass by
-    NORMALIZATION_TOL, the slack a Density's unit mass is allowed.
-    """
-    flat = mass.ravel()
+    flat, key = mass.ravel(), key.values.ravel()
     if cum is None:
         # np.cumsum's sums without its dispatch cost, which every trial pays
-        cum = np.add.accumulate(flat[ranking.order])
+        cum = np.add.accumulate(flat[order])
     total = cum[-1]
     if eps > total + NORMALIZATION_TOL:
         raise ValueError(f"requested mass {eps!r} exceeds available {total!r}")
     eps_eff = min(eps, total)
-    idx = min(int(cum.searchsorted(eps_eff, "left")), cum.size - 1)
-    start, end = ranking.run_at(idx)
-    inside = np.zeros(flat.size, dtype=bool)
-    inside[ranking.order[:start]] = True
-    crossing = ranking.order[start:end]
+    node = order[min(int(cum.searchsorted(eps_eff, "left")), cum.size - 1)]
+    level = key[node]
+    inside = key > level if descending else key < level
+    crossing = key == level
+    if tiebreak is not None:
+        tiebreak = tiebreak.values.ravel()
+        inside |= crossing & (tiebreak < tiebreak[node])
+        crossing &= tiebreak == tiebreak[node]
     mass_inside = float(flat[inside].sum())
     mass_level = float(flat[crossing].sum())
     frac = 0.0
@@ -211,44 +174,44 @@ def _ordered_slice(mass: np.ndarray, ranking: _Ranking, eps: float, cum=None):
         frac = min(max((eps_eff - mass_inside) / mass_level, 0.0), 1.0)
     weights = inside.astype(float)
     weights[crossing] = frac
-    return weights.reshape(mass.shape), float(ranking.key[ranking.order[idx]])
+    return weights.reshape(mass.shape), float(level)
 
 
 @dataclass(slots=True)
 class _Selection:
-    """The mass of m ranked for removal, with its cumulative sums."""
+    """The mass of m in removal order, with its cumulative sums."""
 
     sources: tuple  # (m, key, tiebreak) it was built from
-    ranking: _Ranking
+    descending: bool
+    order: np.ndarray
     mass: np.ndarray
     cum: np.ndarray
 
 
 def _selection(m, key, descending, tiebreak=None) -> _Selection:
-    ranking = _rank(key.values, descending, None if tiebreak is None else tiebreak.values)
+    order = _sort_order(key, descending, tiebreak)
     mass = m.grid.quad_weights * m.values
-    cum = np.add.accumulate(mass.ravel()[ranking.order])
-    return _Selection((m, key, tiebreak), ranking, mass, cum)
+    cum = np.add.accumulate(mass.ravel()[order])
+    return _Selection((m, key, tiebreak), descending, order, mass, cum)
 
 
 @dataclass(slots=True)
 class _Plateau:
-    """Descending payoff ranking and plateau heights before m_plus."""
+    """Descending payoff order and plateau heights before m_plus."""
 
     sources: tuple  # (theta, model) it was built from
-    ranking: _Ranking
+    order: np.ndarray
     theta_bar: float
     base: np.ndarray  # f - P theta_bar (linear) or K - theta_bar
 
 
 def _plateau(theta, model) -> _Plateau:
-    grid, th = theta.grid, theta.values
-    theta_bar = float(th.max())
+    grid, theta_bar = theta.grid, float(theta.values.max())
     if model.kind == "linear":
         base = model.coefficient("f", grid) - model.coefficient("P", grid) * theta_bar
     else:
         base = model.coefficient("K", grid) - theta_bar
-    return _Plateau((theta, model), _rank(th, descending=True), theta_bar, base)
+    return _Plateau((theta, model), _sort_order(theta, True), theta_bar, base)
 
 
 @dataclass(slots=True)
@@ -275,8 +238,12 @@ def _reused(part, *sources):
     return part
 
 
-def _split(m, selection, eps):
-    weights, eta = _ordered_slice(selection.mass, selection.ranking, eps, selection.cum)
+def _split(selection, eps):
+    m, key, tiebreak = selection.sources
+    weights, eta = _ordered_slice(
+        selection.mass, selection.order, eps, key, selection.descending, tiebreak,
+        selection.cum,
+    )
     m_vals = m.values
     m_minus = m_vals * weights
     return ScalarField(m_minus, m.grid), ScalarField(m_vals - m_minus, m.grid), eta
@@ -299,7 +266,7 @@ def select_lowest_income(m: ScalarField, theta: ScalarField, eps: float, cut=Non
         selection = _selection(m, theta, descending=False)
     else:
         selection = _reused(cut.selection, m, theta, None)
-    return _split(m, selection, eps)
+    return _split(selection, eps)
 
 
 def select_farthest(m: ScalarField, v: ScalarField, eps: float, income=None, cut=None):
@@ -325,7 +292,7 @@ def select_farthest(m: ScalarField, v: ScalarField, eps: float, income=None, cut
         selection = _selection(m, v, descending=True, tiebreak=income)
     else:
         selection = _reused(cut.selection, m, v, income)
-    return _split(m, selection, eps)
+    return _split(selection, eps)
 
 
 def redistribute(
@@ -356,7 +323,7 @@ def redistribute(
         raise RedistributionShortfallError(
             f"plateau capacity {capacity!r} below requested mass {eps!r}"
         )
-    weights, level = _ordered_slice(mass, plateau.ranking, eps)
+    weights, level = _ordered_slice(mass, plateau.order, eps, theta, True)
     return ScalarField(height * weights, grid), level, plateau.theta_bar
 
 
@@ -365,17 +332,18 @@ def _distance_field(grid, theta, resid):
     return solve_eikonal(grid, extract_target(theta, zeta=TARGET_GAP_FRACTION * resid))
 
 
-def _trial(m, theta, v, model, eps, variant, allow_overlap, cut):
-    """One trial move of mass eps from the current iterate.
+def _trial(m, theta, v, model, eps, allow_overlap, cut):
+    """One trial move of mass eps from the current iterate and its cut.
 
-    cut is the iterate's cut; None builds its parts on the spot.
-    Returns (m_new, theta_new, residual), or the reason the move was
-    rejected: "shortfall" (the plateau cannot absorb eps), "overlap"
-    (removal and redistribution regions overlap while allow_overlap is
-    off) or "solver_failed" (the payoff solve of the moved density
-    failed).  m_new is a ScalarField, a density up to roundoff.
+    Selects by income when v is None, else by distance v with income as
+    the tiebreak.  Returns (m_new, theta_new, residual), or the reason
+    the move was rejected: "shortfall" (the plateau cannot absorb eps),
+    "overlap" (removal and redistribution regions overlap while
+    allow_overlap is off) or "solver_failed" (the payoff solve of the
+    moved density failed).  m_new is a ScalarField, a density up to
+    roundoff.
     """
-    if variant == "best_response":
+    if v is None:
         m_minus, m_plus, _ = select_lowest_income(m, theta, eps, cut=cut)
     else:
         m_minus, m_plus, _ = select_farthest(m, v, eps, income=theta, cut=cut)
@@ -414,7 +382,7 @@ def flow_step(m: Density, model: ModelSpec, eps: float, variant: str = "best_res
     if gap <= 1e-11 * (1.0 + abs(theta.values.max())):
         return m, theta, gap
     v = _distance_field(grid, theta, gap) if variant == "eikonal" else None
-    trial = _trial(m, theta, v, model, eps, variant, allow_overlap=True, cut=None)
+    trial = _trial(m, theta, v, model, eps, True, _cut(m, theta, v, model))
     if isinstance(trial, str):
         raise RuntimeError(f"step of mass {eps!r} rejected: {trial}")
     m_new, theta_new, r_new = trial
@@ -480,7 +448,7 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
                     termination = "empty_selection"
                     break
             cut = _cut(m, theta, v, model)
-        trial = _trial(m, theta, v, model, eps, cfg.variant, not adaptive, cut)
+        trial = _trial(m, theta, v, model, eps, not adaptive, cut)
         if trial == "solver_failed":
             termination = trial
         elif not isinstance(trial, str) and (not adaptive or trial[2] < resid):

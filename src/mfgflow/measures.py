@@ -21,8 +21,6 @@ from .grid import Grid, integrate
 
 NORMALIZATION_TOL = 1e-10
 
-# Initializers draw from PCG64 streams split as SeedSequence(seed,
-# spawn_key=(attempt,)); attempt increments only on degenerate draws.
 MAX_REDRAWS = 100
 
 
@@ -134,24 +132,40 @@ def support(m: ScalarField, rel_threshold: float = 1e-9) -> np.ndarray:
     return vals > rel_threshold * vals.max()
 
 
+def seeded_draw(seed: int, draw, what: str):
+    """The first usable draw(rng) of a seed.
+
+    Draws from the PCG64 stream SeedSequence(seed, spawn_key=(attempt,))
+    for attempt = 0, 1, ...; draw returns None for a degenerate draw,
+    which moves on to the next attempt.  Raises ValueError, naming
+    `what`, after MAX_REDRAWS attempts.
+    """
+    for attempt in range(MAX_REDRAWS):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(int(seed), spawn_key=(attempt,))
+        )
+        values = draw(rng)
+        if values is not None:
+            return values
+    raise ValueError(f"no usable {what} after {MAX_REDRAWS} redraws")
+
+
 def random_density(seed: int, grid: Grid) -> Density:
     """Random 1D initial mass: clipped sum of five random sine modes.
 
     Draws amplitudes a_j and frequencies b_j uniformly from [1,10],
     forms max(0, sum_j a_j sin(b_j pi x)) and normalizes.  Deterministic
-    given the seed.  A degenerate all-zero draw triggers a redraw on a
-    split substream; after MAX_REDRAWS attempts an error is raised.
+    given the seed.  A degenerate all-zero draw is redrawn by
+    seeded_draw.
     """
     if grid.dim != 1:
         raise ValueError("random initial densities are only defined in 1D")
     x = grid.axes[0]
-    for attempt in range(MAX_REDRAWS):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(int(seed), spawn_key=(attempt,))
-        )
+
+    def draw(rng):
         a = rng.uniform(1.0, 10.0, size=5)
         b = rng.uniform(1.0, 10.0, size=5)
         raw = np.maximum(0.0, np.sin(np.pi * np.outer(b, x)).T @ a)
-        if integrate(raw, grid) > 0.0:
-            return normalize(raw, grid)
-    raise ValueError(f"no usable random density after {MAX_REDRAWS} redraws")
+        return raw if integrate(raw, grid) > 0.0 else None
+
+    return normalize(seeded_draw(seed, draw, "random density"), grid)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .elliptic import ModelSpec
 from .grid import Grid
+from .measures import seeded_draw
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -127,25 +128,23 @@ PRESETS = {
 def random_cosine_sum(seed: int, grid: Grid) -> np.ndarray:
     """max(0, 4 sum_i cos(a_i pi x) cos(b_i pi y)), a_i, b_i ~ U[0,10].
 
-    Redrawn on a split substream if a draw is (numerically) identically
-    zero, so the coefficient always satisfies the model assumptions.
+    A (numerically) identically zero draw is redrawn by seeded_draw, so
+    the coefficient always satisfies the model assumptions.
     """
     if grid.dim != 2:
         raise ValueError("random cosine coefficients are 2D only")
     X, Y = grid.coords()
-    for attempt in range(100):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(int(seed), spawn_key=(attempt,))
-        )
+
+    def draw(rng):
         a = rng.uniform(0.0, 10.0, size=4)
         b = rng.uniform(0.0, 10.0, size=4)
         total = np.zeros(grid.shape)
         for ai, bi in zip(a, b):
             total += np.cos(ai * np.pi * X) * np.cos(bi * np.pi * Y)
         vals = np.maximum(0.0, 4.0 * total)
-        if vals.max() > 0.0:
-            return vals
-    raise ValueError("no usable random cosine coefficient after 100 redraws")
+        return vals if vals.max() > 0.0 else None
+
+    return seeded_draw(seed, draw, "random cosine coefficient")
 
 
 def build_model(preset: Preset, grid: Grid, seed: int = 0, mu: float = 0.1) -> ModelSpec:

@@ -173,6 +173,37 @@ def test_nonpositive_capacity_exit_3(tmp_path, capsys):
     assert "K must be positive somewhere" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, config, env", [
+    (["solve", "--preset", "linear-4x", "--grid", "1"], None, {}),
+    (["solve", "--preset", "linear-4x", "--grid", "-5"], None, {}),
+    (["solve"], "kind = linear\ndim = 3\nP = 0.5\nf = 4*x\n", {}),
+    (["solve"], "kind = linear\ndim = 1\nn = 1\nP = 0.5\nf = 4*x\n", {}),
+    (["solve", "--preset", "linear-4x"], "mu = -1\n", {}),
+    (["solve", "--preset", "linear-randcos2d", "--seed", "-1"], None, {}),
+    (["stress", "--preset", "linear-4x", "--seed", "-1"], None, {}),
+    (["stress", "--preset", "linear-4x"], None, {"MFGFLOW_SEED": "-1"}),
+    (["stress", "--preset", "linear-4x", "--seeds", "-2"], None, {}),
+    (["stress", "--preset", "linear-4x", "--seeds", "0"], None, {}),
+    (["refine", "--preset", "linear-4x", "--levels", "0"], None, {}),
+    (["refine", "--preset", "linear-4x", "--levels", "-1"], None, {}),
+])
+def test_invalid_run_input_exit_3(tmp_path, capsys, monkeypatch, args, config, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "run.cfg")]
+    assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
+def test_validate_takes_no_run_flags(capsys):
+    assert main(["validate", "--preset", "linear-4x", "--grid", "5"]) == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_stress_command(tmp_path, capsys):
     code = main(
         ["stress", "--preset", "linear-4x", "--grid", "200", "--seeds", "2",

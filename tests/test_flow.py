@@ -366,8 +366,39 @@ def bits(*values):
     return [np.asarray(getattr(v, "values", v), dtype=float).tobytes() for v in values]
 
 
+def boundary_case(eikonal):
+    """An iterate whose run boundaries fall on eps0 / 2^k exactly.
+
+    On 33 nodes scattered at random, theta = 0..9 marks ten runs that
+    hold all of m, and theta = 19..10 ten runs that hold the plateau
+    heights.  Node masses are dyadic and the runs hold 2^-9, 2^-9, 2^-8,
+    ..., 1/2 of each in ascending (descending) theta, so the cumulative
+    sums are exact and eps = 2^-(k+1) ends the run theta = 8 - k of the
+    selection and theta = 11 + k of the plateau.  The eikonal distance
+    ties the runs in pairs, which the income breaks.
+    """
+    grid = make_grid(1, 32)
+    run_mass = np.array([2.0**-9] + [2.0**-k for k in range(9, 0, -1)])
+    nodes = iter(np.random.default_rng(7).permutation(grid.num_nodes))
+    theta, mass, height = (np.zeros(grid.shape) for _ in range(3))
+    for run, size in enumerate([1] * 4 + [2] * 6 + [2] * 7 + [1] * 3):
+        at = [next(nodes) for _ in range(size)]
+        share = run_mass[run % 10] / size
+        if run < 10:
+            theta[at], mass[at] = run, share
+        else:
+            theta[at], height[at] = 29 - run, share
+    w = grid.quad_weights
+    m, theta = Density(mass / w, grid), field(grid, theta)
+    model = ModelSpec.linear(mu=0.1, P=0.5, f=0.5 * 19 + height / w)
+    v = field(grid, np.where(theta.values < 10, 5 - theta.values // 2, 0)) if eikonal else None
+    return m, theta, v, model, 0.5
+
+
 def cut_case(name):
     """(m, theta, v, model, eps0) of one iterate; v is None for best response."""
+    if name.startswith("boundary"):
+        return boundary_case(name.endswith("eikonal"))
     rng = np.random.default_rng(7)
     if name.startswith("2d"):
         grid = make_grid(2, 20)
@@ -393,7 +424,7 @@ def cut_case(name):
 
 CUT_CASES = (
     "constant-theta", "1d-eikonal", "plateau-tie", "2d-21x21-best_response",
-    "2d-21x21-eikonal",
+    "2d-21x21-eikonal", "boundary-best_response", "boundary-eikonal",
 )
 
 
@@ -435,6 +466,12 @@ class TestCut:
             )
             m_minus = m.values * weights
             assert bits(*cached) == bits(*plan_free) == bits(m_minus, m.values - m_minus, eta)
+            if name.startswith("boundary"):
+                # eps ends the run theta = 8 - k: it is the crossing run,
+                # taken whole, and eta is its key
+                run = theta.values == 8 - k
+                assert eta == key.values[run][0]
+                assert np.array_equal(m_minus, m.values * (theta.values <= 8 - k))
 
             m_plus = cached[1]
             plan_free = outcome(redistribute, m_plus, theta, model, eps)
@@ -447,6 +484,10 @@ class TestCut:
                 grid.quad_weights * height, theta.values, eps, True
             )
             assert bits(*cached) == bits(*plan_free) == bits(height * weights, level, theta_bar)
+            if name.startswith("boundary"):
+                # eps ends the plateau run theta = 11 + k, which is taken whole
+                assert level == 11 + k
+                assert np.array_equal(cached[0].values, height * (theta.values >= 11 + k))
             if name == "plateau-tie":
                 # the crossing falls inside the top run of 401 tied
                 # nodes, and all of them with room take a share

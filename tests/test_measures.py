@@ -11,6 +11,7 @@ from mfgflow import (
     tv_distance,
     w1_distance_1d,
 )
+from mfgflow.measures import MAX_REDRAWS, seeded_draw
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +175,23 @@ class TestRandomDensity:
     def test_rejected_in_2d(self):
         with pytest.raises(ValueError):
             random_density(0, make_grid(2, 10))
+
+
+class TestSeededDraw:
+    def test_degenerate_draws_move_to_the_next_substream(self):
+        attempts = []
+
+        def draw(rng):
+            attempts.append(rng.random())
+            return None if len(attempts) < 3 else attempts[-1]
+
+        value = seeded_draw(5, draw, "test draw")
+        third = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2,)))
+        assert value == third.random()
+        assert len(set(attempts)) == 3
+
+    def test_gives_up_after_max_redraws(self):
+        calls = []
+        with pytest.raises(ValueError, match=f"no usable test draw after {MAX_REDRAWS}"):
+            seeded_draw(0, lambda rng: calls.append(rng), "test draw")
+        assert len(calls) == MAX_REDRAWS

@@ -1,0 +1,113 @@
+"""Fingerprint the numerical behaviour of this checkout.
+
+Run from anywhere, with no options:
+
+    python3 tools/fingerprint.py
+
+It imports mfgflow from the src/ directory next to this file (never an
+installed copy, never perfbench) and prints one SHA-256 line per part:
+
+- presets-1d: the 12 run_flow results of the six 1D presets x both
+  variants from the uniform density, n = 1000;
+- presets-2d: the 4 run_flow results of the two gauss2d presets x both
+  variants, 100 x 100 intervals;
+- stress-1d: the 54 stress_test rows on linear-sin, seeds 0-26, n = 1000;
+- refine-1d: the sup_tv lists of refinement_study on nonlinear-cos for
+  both variants (eps0 0.1, pairs 6, max_outer 25, n = 1000).
+
+A run_flow result hashes every field of every IterationRecord, the
+termination and convergence flag, and the bytes of the final m and
+theta.  Two checkouts that print the same four lines produce the same
+trajectories to the bit on these inputs.
+"""
+
+import os
+
+# One thread per process, so no BLAS pool can reorder a sum.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from dataclasses import astuple  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+import numpy as np  # noqa: E402
+
+import mfgflow  # noqa: E402
+
+VARIANTS = ("best_response", "eikonal")
+
+
+def _floats(*values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _flow_runs(names, grid, digest):
+    m0 = mfgflow.normalize(np.ones(grid.shape), grid)
+    for name in names:
+        preset = mfgflow.PRESETS[name]
+        for variant in VARIANTS:
+            cfg = mfgflow.FlowConfig(variant=variant, eps0=preset.default_eps0)
+            result = mfgflow.run_flow(mfgflow.build_model(preset, grid), m0, cfg)
+            digest.update(f"{name}/{variant}:{result.termination}:{result.converged}".encode())
+            for record in result.records:
+                digest.update(_floats(*astuple(record)))
+            digest.update(result.m.values.tobytes())
+            digest.update(result.theta.values.tobytes())
+
+
+def presets_1d(digest):
+    names = [f"{kind}-{shape}" for kind in ("linear", "nonlinear")
+             for shape in ("4x", "sin", "cos")]
+    _flow_runs(names, mfgflow.make_grid(1, 1000), digest)
+
+
+def presets_2d(digest):
+    _flow_runs(["linear-gauss2d", "nonlinear-gauss2d"], mfgflow.make_grid(2, 100), digest)
+
+
+def stress_1d(digest):
+    grid = mfgflow.make_grid(1, 1000)
+    model = mfgflow.build_model(mfgflow.PRESETS["linear-sin"], grid)
+    for row in mfgflow.stress_test(model, grid, mfgflow.FlowConfig(), range(27)):
+        digest.update(f"{row.seed}/{row.variant}:{row.iterations}:{row.converged}".encode())
+        digest.update(_floats(row.final_residual))
+
+
+def refine_1d(digest):
+    grid = mfgflow.make_grid(1, 1000)
+    m0 = mfgflow.normalize(np.ones(grid.shape), grid)
+    for variant in VARIANTS:
+        model = mfgflow.build_model(mfgflow.PRESETS["nonlinear-cos"], grid)
+        study = mfgflow.refinement_study(
+            model, m0, eps0=0.1, pairs=6, variant=variant, max_outer=25
+        )
+        digest.update(_floats(*study.sup_tv))
+
+
+PARTS = {
+    "presets-1d": presets_1d,
+    "presets-2d": presets_2d,
+    "stress-1d": stress_1d,
+    "refine-1d": refine_1d,
+}
+
+
+def main() -> int:
+    if SRC not in Path(mfgflow.__file__).resolve().parents:
+        print(f"fingerprint: mfgflow resolved outside {SRC}", file=sys.stderr)
+        return 2
+    for name, part in PARTS.items():
+        digest = hashlib.sha256()
+        part(digest)
+        print(f"{digest.hexdigest()}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
