@@ -1,11 +1,15 @@
 """Command-line driver: batch runs of the flows with CSV output.
 
-Subcommands: solve, refine, stress, trace, validate.  Configuration is
-read from (lowest to highest precedence) built-in defaults, a flat
-``key = value`` config file, the MFGFLOW_OUT / MFGFLOW_SEED environment
-variables, and explicit flags.  Floating values in every CSV are
-printed with 17 significant digits so identical configurations produce
-bit-identical files.
+Subcommands: solve, refine, stress, trace, validate.  Each run input is
+declared once, in OPTIONS: its converter, default, flag, allowed values,
+environment variable and the subcommands that take it as a flag.  A run
+subcommand refuses a flag it would ignore, and `validate` reads no
+configuration.  Run inputs come from (lowest to highest precedence) the
+defaults, a flat ``key = value`` config file (any known key, for any run
+subcommand), the MFGFLOW_OUT / MFGFLOW_SEED environment variables, and
+flags; a value from any source is converted and checked by its entry.
+Floating values in every CSV are printed with 17 significant digits so
+identical configurations produce bit-identical files.
 
 Exit codes: 0 converged/ok, 2 non-convergence, 3 configuration error,
 4 solver failure.
@@ -16,7 +20,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,36 +38,11 @@ EXIT_NOT_CONVERGED = 2
 EXIT_CONFIG = 3
 EXIT_SOLVER = 4
 
-ENV_OUT = "MFGFLOW_OUT"
-ENV_SEED = "MFGFLOW_SEED"
+RUN_COMMANDS = ("solve", "refine", "stress", "trace")
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    preset: str | None = None
-    kind: str | None = None
-    f: str | None = None
-    P: str | None = None
-    K: str | None = None
-    mu: float = 0.1
-    dim: int | None = None
-    n: int | None = None
-    variant: str = "best-response"
-    eps0: float | None = None
-    eps_min: float = 1e-15
-    max_outer: int = 100
-    tau: str = "dx"
-    seed: int = 0
-    fixed_eps: float | None = None
-    out: str = "."
-    dump_eikonal: bool = False
-    levels: int = 6
-    seeds: int = 12
 
 
 def _fmt(x) -> str:
@@ -98,100 +79,129 @@ def _parse_config_file(path) -> dict:
     return values
 
 
-_COERCERS = {
-    "mu": float,
-    "dim": int,
-    "n": int,
-    "eps0": float,
-    "eps_min": float,
-    "max_outer": int,
-    "seed": int,
-    "fixed_eps": float,
-    "levels": int,
-    "seeds": int,
-    "dump_eikonal": lambda s: s.lower() in ("1", "true", "yes", "on"),
-}
+def _at_least(low):
+    def convert(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be at least {low}")
+        return value
+    return convert
+
+
+def _switch(text):
+    word = text.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError("expected true/false, yes/no, on/off or 1/0")
+    return word in ("1", "true", "yes", "on")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One run input.  Every source hands over text; `convert` turns it
+    into the value (ValueError if it cannot), which must then be one of
+    `choices` when those are given.  flag None: config file only."""
+
+    key: str
+    convert: Callable[[str], object] = str
+    default: object = None
+    flag: str | None = None
+    choices: tuple = ()
+    commands: tuple[str, ...] = RUN_COMMANDS
+    env: str | None = None
+    help: str | None = None
+
+    def parse(self, text, where):
+        try:
+            value = self.convert(text)
+            if self.choices and value not in self.choices:
+                raise ValueError("expected one of " + ", ".join(map(str, self.choices)))
+        except ValueError as exc:
+            raise ConfigError(f"bad value {text!r} for {where}: {exc}") from exc
+        return value
+
+
+OPTIONS = (
+    Option("preset", flag="--preset", choices=tuple(sorted(PRESETS)),
+           help="named experiment"),
+    Option("kind", choices=("linear", "nonlinear")),
+    Option("f"),
+    Option("P"),
+    Option("K"),
+    Option("mu", float, 0.1),
+    Option("dim", int, flag="--dim", choices=(1, 2)),
+    Option("n", int, flag="--grid", help="intervals per axis"),
+    # best_response, the library's spelling, is read as best-response
+    Option("variant", lambda text: text.replace("_", "-"), "best-response", flag="--variant",
+           choices=("best-response", "eikonal"), commands=("solve", "refine", "trace")),
+    Option("eps0", float, flag="--eps0", help="initial step mass"),
+    Option("eps_min", float, 1e-15, flag="--eps-min", commands=("solve", "stress", "trace")),
+    Option("max_outer", int, 100, flag="--max-outer"),
+    Option("tau", lambda text: text if text == "dx" else float(text), "dx", flag="--tau",
+           help="residual tolerance, a float or 'dx'"),
+    Option("seed", _at_least(0), 0, flag="--seed", env="MFGFLOW_SEED"),
+    Option("fixed_eps", float, flag="--fixed-eps", commands=("solve", "stress", "trace"),
+           help="disable adaptivity and use this step mass"),
+    Option("out", str, ".", flag="--out", env="MFGFLOW_OUT", help="output directory"),
+    Option("dump_eikonal", _switch, False, flag="--dump-eikonal", commands=("solve",),
+           help="also dump the final distance field"),
+    Option("levels", _at_least(1), 6, flag="--levels", commands=("refine",),
+           help="number of consecutive step-size pairs"),
+    Option("seeds", _at_least(1), 12, flag="--seeds", commands=("stress",),
+           help="number of seeded runs"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfgflow",
         description="Equilibrium flows for ergodic mean-field games.",
-        epilog=(
-            f"Environment: {ENV_OUT} overrides the output directory, "
-            f"{ENV_SEED} overrides the seed (both below explicit flags)."
-        ),
+        epilog="Environment: " + ", ".join(
+            f"{opt.env} sets {opt.flag}" for opt in OPTIONS if opt.env
+        ) + " (above the config file, below explicit flags).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "solve": "run one flow to convergence and dump density/iteration CSVs",
-        "refine": "step-size refinement study (refinement.csv)",
-        "stress": "random-initialization stress test (stress.csv)",
-        "trace": "objective-vs-transported-mass trace (trace.csv)",
-        "validate": "run the built-in solver verification checks",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == "validate":  # runs fixed checks, so it takes no run flags
-            continue
-        p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--preset", choices=sorted(PRESETS), help="named experiment")
-        p.add_argument("--variant", choices=["best-response", "eikonal"])
-        p.add_argument("--dim", type=int, choices=[1, 2])
-        p.add_argument("--grid", dest="n", type=int, help="intervals per axis")
-        p.add_argument("--eps0", type=float, help="initial step mass")
-        p.add_argument("--eps-min", dest="eps_min", type=float)
-        p.add_argument("--max-outer", dest="max_outer", type=int)
-        p.add_argument("--tau", help="residual tolerance, a float or 'dx'")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--fixed-eps", dest="fixed_eps", type=float,
-                       help="disable adaptivity and use this step mass")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--dump-eikonal", dest="dump_eikonal", action="store_true",
-                       default=None, help="also dump the final distance field")
-        if name == "refine":
-            p.add_argument("--levels", type=int,
-                           help="number of consecutive step-size pairs")
-        if name == "stress":
-            p.add_argument("--seeds", type=int, help="number of seeded runs")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        if name != "validate":
+            p.add_argument("--config", help="flat key = value configuration file")
+        # flags hand over text: Option.parse converts and checks it
+        for opt in OPTIONS:
+            if opt.flag is None or name not in opt.commands:
+                continue
+            if opt.convert is _switch:
+                p.add_argument(opt.flag, dest=opt.key, action="store_const",
+                               const="on", help=opt.help)
+            else:
+                metavar = "{%s}" % ",".join(map(str, opt.choices)) if opt.choices else None
+                p.add_argument(opt.flag, dest=opt.key, metavar=metavar, help=opt.help)
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    rc = RunConfig(command=args.command)
-    if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
-            if not hasattr(rc, key) or key == "command":
+def _resolve(args: argparse.Namespace) -> SimpleNamespace:
+    texts = {}  # key -> (text, source); a later source overrides an earlier
+    if args.config:
+        known = {opt.key for opt in OPTIONS}
+        for key, text in _parse_config_file(args.config).items():
+            if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
-            try:
-                setattr(rc, key, _COERCERS.get(key, str)(raw))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
-    if os.environ.get(ENV_OUT):
-        rc.out = os.environ[ENV_OUT]
-    if os.environ.get(ENV_SEED):
-        try:
-            rc.seed = int(os.environ[ENV_SEED])
-        except ValueError as exc:
-            raise ConfigError(f"bad {ENV_SEED}: {os.environ[ENV_SEED]!r}") from exc
-    for key in vars(rc):
-        if key == "command":
-            continue
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(rc, key, value)
-    return rc
+            texts[key] = (text, f"config key {key!r}")
+    for opt in OPTIONS:
+        if opt.env and os.environ.get(opt.env):
+            texts[opt.key] = (os.environ[opt.env], opt.env)
+        if getattr(args, opt.key, None) is not None:
+            texts[opt.key] = (getattr(args, opt.key), opt.flag)
+    return SimpleNamespace(**{
+        opt.key: opt.parse(*texts[opt.key]) if opt.key in texts else opt.default
+        for opt in OPTIONS
+    })
 
 
-def _materialize(rc: RunConfig):
-    """Build (grid, model, flow config, metadata) from a run config.
+def _materialize(rc: SimpleNamespace):
+    """Build (grid, model, flow config, metadata) from resolved run inputs.
 
-    This is the boundary for run inputs: every ValueError raised while
-    building them is reported as a ConfigError.
+    Every ValueError raised while building them is reported as a
+    ConfigError.
     """
-    for key, low in (("seed", 0), ("levels", 1), ("seeds", 1)):
-        if getattr(rc, key) < low:
-            raise ConfigError(f"{key} must be at least {low}, got {getattr(rc, key)}")
     try:
         if rc.preset is not None:
             preset = PRESETS[rc.preset]
@@ -203,7 +213,7 @@ def _materialize(rc: RunConfig):
             eps0 = rc.eps0 if rc.eps0 is not None else preset.default_eps0
             label = preset.name
         else:
-            if rc.kind not in ("linear", "nonlinear"):
+            if rc.kind is None:
                 raise ConfigError("need --preset, or kind = linear|nonlinear in the config")
             if rc.dim is None:
                 raise ConfigError("expression-built models need dim")
@@ -227,7 +237,7 @@ def _materialize(rc: RunConfig):
             eps0=eps0,
             eps_min=rc.eps_min,
             max_outer=rc.max_outer,
-            tau=grid.spacing if rc.tau == "dx" else float(rc.tau),
+            tau=grid.spacing if rc.tau == "dx" else rc.tau,
             fixed_eps=rc.fixed_eps,
         )
     except ValueError as exc:
@@ -243,36 +253,11 @@ def _grid_comment(grid) -> str:
     return f"dim={grid.dim} n={grid.n} dx={_fmt(grid.spacing)}"
 
 
-def _density_rows(grid, m, theta):
-    if grid.dim == 1:
-        x = grid.axes[0]
-        for i in range(x.size):
-            yield (x[i], m[i], theta[i])
-    else:
-        X, Y = grid.coords()
-        for i in range(X.shape[0]):
-            for j in range(X.shape[1]):
-                yield (X[i, j], Y[i, j], m[i, j], theta[i, j])
-
-
-def _write_solution(outdir, grid, result, label):
-    header = ["x", "m", "theta"] if grid.dim == 1 else ["x", "y", "m", "theta"]
-    _write_csv(
-        os.path.join(outdir, "density.csv"),
-        header,
-        _density_rows(grid, result.m.values, result.theta.values),
-        comments=[_grid_comment(grid), f"preset={label}"],
-    )
-    _write_csv(
-        os.path.join(outdir, "iterations.csv"),
-        ["iter", "epsilon", "residual", "sup_theta", "min_theta_supp",
-         "tv_step", "mass_cum", "halvings"],
-        [
-            (r.j, r.eps, r.residual, r.sup_theta, r.min_theta_supp,
-             r.tv_step, r.mass_cum, r.halvings)
-            for r in result.records
-        ],
-    )
+def _write_nodes(path, grid, fields, comments):
+    """One row per node: its coordinates, then each named node field."""
+    columns = (*grid.coords(), *fields.values())
+    _write_csv(path, ["x", "y"][:grid.dim] + list(fields),
+               zip(*(c.ravel() for c in columns)), comments)
 
 
 def _summary(result) -> str:
@@ -290,22 +275,34 @@ def _exit_code(result) -> int:
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def cmd_solve(rc: RunConfig) -> int:
+def cmd_solve(rc: SimpleNamespace) -> int:
+    """run one flow to convergence and dump density/iteration CSVs"""
     grid, model, flow_cfg, label = _materialize(rc)
     os.makedirs(rc.out, exist_ok=True)
     result = run_flow(model, _uniform_density(grid), flow_cfg)
-    _write_solution(rc.out, grid, result, label)
+    _write_nodes(os.path.join(rc.out, "density.csv"), grid,
+                 {"m": result.m.values, "theta": result.theta.values},
+                 [_grid_comment(grid), f"preset={label}"])
+    _write_csv(
+        os.path.join(rc.out, "iterations.csv"),
+        ["iter", "epsilon", "residual", "sup_theta", "min_theta_supp",
+         "tv_step", "mass_cum", "halvings"],
+        [
+            (r.j, r.eps, r.residual, r.sup_theta, r.min_theta_supp,
+             r.tv_step, r.mass_cum, r.halvings)
+            for r in result.records
+        ],
+    )
     if rc.dump_eikonal:
         v = _distance_field(grid, result.theta, result.final_residual)
-        header = ["x", "v"] if grid.dim == 1 else ["x", "y", "v"]
-        rows = (row[:-2] + (row[-1],) for row in _density_rows(grid, v.values, v.values))
-        _write_csv(os.path.join(rc.out, "eikonal.csv"), header, rows,
-                   comments=[_grid_comment(grid)])
+        _write_nodes(os.path.join(rc.out, "eikonal.csv"), grid, {"v": v.values},
+                     [_grid_comment(grid)])
     print(_summary(result))
     return _exit_code(result)
 
 
-def cmd_refine(rc: RunConfig) -> int:
+def cmd_refine(rc: SimpleNamespace) -> int:
+    """step-size refinement study (refinement.csv)"""
     grid, model, flow_cfg, label = _materialize(rc)
     os.makedirs(rc.out, exist_ok=True)
     study = diagnostics.refinement_study(
@@ -329,7 +326,8 @@ def cmd_refine(rc: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_stress(rc: RunConfig) -> int:
+def cmd_stress(rc: SimpleNamespace) -> int:
+    """random-initialization stress test (stress.csv)"""
     grid, model, flow_cfg, label = _materialize(rc)
     if grid.dim != 1:
         raise ConfigError("the stress test is defined for 1D models only")
@@ -349,7 +347,8 @@ def cmd_stress(rc: RunConfig) -> int:
     return EXIT_OK if not bad else EXIT_NOT_CONVERGED
 
 
-def cmd_trace(rc: RunConfig) -> int:
+def cmd_trace(rc: SimpleNamespace) -> int:
+    """objective-vs-transported-mass trace (trace.csv)"""
     grid, model, flow_cfg, label = _materialize(rc)
     os.makedirs(rc.out, exist_ok=True)
     result = run_flow(model, _uniform_density(grid), flow_cfg)
@@ -359,8 +358,8 @@ def cmd_trace(rc: RunConfig) -> int:
     return _exit_code(result)
 
 
-def cmd_validate(rc: RunConfig) -> int:
-    """Solver verification: manufactured solutions and oracle checks."""
+def cmd_validate() -> int:
+    """run the built-in solver verification checks"""
     checks = diagnostics.verification_checks()
     for name, ok, detail in checks:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
@@ -385,8 +384,9 @@ def main(argv=None) -> int:
         # latter so exit code 2 stays reserved for non-convergence
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
-        rc = _resolve(args)
-        return _COMMANDS[args.command](rc)
+        if args.command == "validate":  # fixed checks: reads no configuration
+            return cmd_validate()
+        return _COMMANDS[args.command](_resolve(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

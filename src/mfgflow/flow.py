@@ -75,8 +75,8 @@ class FlowConfig:
             raise ValueError(f"unknown flow variant {self.variant!r}")
         if not 0.0 < self.eps_min <= self.eps0 <= 1.0:
             raise ValueError("need 0 < eps_min <= eps0 <= 1")
-        if self.tau is not None and self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if self.tau is not None and not 0.0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
         if self.fixed_eps is not None and not 0.0 < self.fixed_eps <= 1.0:
@@ -114,14 +114,14 @@ class FlowResult:
         return self.records[-1].residual
 
 
-def nash_gap(theta: ScalarField, m: ScalarField, rel_threshold: float = 1e-9) -> float:
+def nash_gap(theta: ScalarField, m: ScalarField) -> float:
     """max theta minus the minimum of theta over the support of m.
 
     Zero exactly when every player already earns the top income; the
     flow stops once this residual falls below tau.
     """
     grid_of(theta, m)
-    mask = support(m, rel_threshold)
+    mask = support(m)
     if not mask.any():
         raise ValueError("m has empty support")
     th = theta.values

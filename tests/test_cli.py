@@ -186,6 +186,11 @@ def test_nonpositive_capacity_exit_3(tmp_path, capsys):
     (["stress", "--preset", "linear-4x", "--seeds", "0"], None, {}),
     (["refine", "--preset", "linear-4x", "--levels", "0"], None, {}),
     (["refine", "--preset", "linear-4x", "--levels", "-1"], None, {}),
+    (["solve", "--preset", "linear-4x", "--tau", "inf"], None, {}),
+    (["solve", "--preset", "linear-4x", "--tau", "nan"], None, {}),
+    (["solve"], "preset = nope\n", {}),
+    (["solve", "--preset", "linear-4x"], "dump_eikonal = maybe\n", {}),
+    (["solve", "--preset", "linear-4x"], "variant = sideways\n", {}),
 ])
 def test_invalid_run_input_exit_3(tmp_path, capsys, monkeypatch, args, config, env):
     for key, value in env.items():
@@ -202,6 +207,35 @@ def test_invalid_run_input_exit_3(tmp_path, capsys, monkeypatch, args, config, e
 def test_validate_takes_no_run_flags(capsys):
     assert main(["validate", "--preset", "linear-4x", "--grid", "5"]) == EXIT_CONFIG
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("refine", ["--fixed-eps", "0.5"]),
+    ("refine", ["--eps-min", "1e-12"]),
+    ("refine", ["--dump-eikonal"]),
+    ("stress", ["--variant", "eikonal"]),
+    ("stress", ["--dump-eikonal"]),
+    ("trace", ["--dump-eikonal"]),
+])
+def test_run_command_refuses_flag_it_ignores(tmp_path, capsys, command, flag):
+    args = [command, "--preset", "linear-4x", *flag, "--out", str(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_validate_reads_no_configuration(monkeypatch, capsys):
+    monkeypatch.setenv("MFGFLOW_SEED", "abc")
+    assert main(["validate"]) == EXIT_OK
+
+
+def test_config_variant_in_library_spelling(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = linear-4x\nn = 150\nvariant = best_response\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["solve", "--preset", "linear-4x", "--grid", "150",
+                 "--variant", "best-response", "--out", str(tmp_path / "b")]) == EXIT_OK
+    for name in ("density.csv", "iterations.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_stress_command(tmp_path, capsys):

@@ -245,6 +245,9 @@ class TestRunFlow:
             FlowConfig(eps0=2.0)
         with pytest.raises(ValueError):
             FlowConfig(tau=-1.0)
+        for tau in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                FlowConfig(tau=tau)
         for fixed_eps in (0.0, -1.0, 2.0):
             with pytest.raises(ValueError):
                 FlowConfig(fixed_eps=fixed_eps)
