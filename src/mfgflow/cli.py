@@ -11,8 +11,8 @@ flags; a value from any source is converted and checked by its entry.
 Floating values in every CSV are printed with 17 significant digits so
 identical configurations produce bit-identical files.
 
-Exit codes: 0 converged/ok, 2 non-convergence, 3 configuration error,
-4 solver failure.
+Exit codes: 0 converged/ok, 2 non-convergence or a refinement shortfall,
+3 configuration error, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -390,7 +390,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, diagnostics.StudyError) as exc:
+    except diagnostics.StudyError as exc:  # a shortfall is non-convergence
+        print(f"study stopped: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED if exc.reason == "shortfall" else EXIT_SOLVER
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

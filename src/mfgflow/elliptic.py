@@ -21,9 +21,9 @@ Newton iteration on the equation would treat theta == 0 as just
 another root.  K must be positive somewhere; otherwise theta == 0 is
 the only solution and the model is rejected.
 
-The operators a model needs on one grid (-Lap, the energy weights, the
-factorized linear system and its source f, or the latest factorized
-Jacobian) are built once per model and grid and cached on the model.
+The operators a model needs on one grid (-Lap, the factorized linear
+system and its source f, or the latest factorized Jacobian) are built
+once per model and grid and cached on the model.
 """
 
 from __future__ import annotations
@@ -171,7 +171,6 @@ class _Operators:
     """What a model needs on one grid, built once and cached on the model."""
 
     lap: sp.csr_matrix  # -Lap with reflected Neumann rows
-    weights: np.ndarray  # trapezoidal weights; lap is the gradient of their energy
     system: sp.csc_matrix | None  # mu (-Lap) + diag(P); None for the harvesting model
     f: np.ndarray | None  # the linear model's source on the grid
     # factorization of system, or the harvesting model's latest chord
@@ -205,18 +204,15 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
     ops = model._cache.get(key)
     if ops is None:
         lap = neumann_laplacian(grid)
-        w1 = np.full(grid.n + 1, grid.spacing)
-        w1[0] = w1[-1] = grid.spacing / 2.0
-        weights = w1 if grid.dim == 1 else np.outer(w1, w1)
         if model.kind == "linear":
             system = model.mu * lap + sp.diags(model.coefficient("P", grid).ravel())
             system = system.tocsc()
             ops = _Operators(
-                lap, weights, system, model.coefficient("f", grid), _factorize(system),
+                lap, system, model.coefficient("f", grid), _factorize(system),
                 float(abs(system).sum(axis=1).max()),
             )
         else:
-            ops = _Operators(lap, weights, None, None, None, None)
+            ops = _Operators(lap, None, None, None, None)
         model._cache[key] = ops
     return ops
 
@@ -286,7 +282,7 @@ def solve_nonlinear(
         opts = NonlinearSolveOptions()
     grid = grid_of(m) if theta0 is None else grid_of(m, theta0)
     ops = _operators(model, grid)
-    lap, w = ops.lap, ops.weights
+    lap, w = ops.lap, grid.quad_weights
     K = model.coefficient("K", grid)
     m_vals = m.values
     mu = model.mu

@@ -2,8 +2,8 @@
 
 All solvers in this package operate on node-centered uniform grids over
 [0,1] (1D) or [0,1]x[0,1] (2D) with homogeneous Neumann boundary
-structure.  Integrals are evaluated with the trapezoidal rule in 1D and
-the rectangular rule in 2D.
+structure.  Integrals are evaluated with the trapezoidal rule: the 1D
+weights, and their outer product in 2D.
 
 This is the bottom layer: it knows node arrays and grids only.  Grid
 functions that carry their grid (`ScalarField`, `Density`) live in
@@ -36,12 +36,11 @@ class Grid:
     axes : tuple of ndarray
         Per-axis node coordinates, each of shape (n+1,).
     quad_weights : ndarray
-        Per-node quadrature weights with the grid's shape.  1D weights
-        are trapezoidal (dx/2 at the two endpoints, dx inside), so they
-        sum to 1 exactly.  2D weights are the rectangular rule dx*dy at
-        every node including the boundary, so they sum to (1+dx)^2
-        rather than 1; densities are normalized against these same
-        weights, which keeps the convention consistent throughout.
+        Per-node trapezoidal weights with the grid's shape: dx/2 at the
+        two ends of an axis and dx inside, multiplied across the axes in
+        2D, so they sum to 1.  They are the only node weights in the
+        package: mass, distances and the payoff energy all use them,
+        and -Lap with reflected Neumann rows is symmetric in them.
     """
 
     dim: int
@@ -60,8 +59,6 @@ class Grid:
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Node coordinate arrays broadcast to the grid shape."""
-        if self.dim == 1:
-            return (self.axes[0],)
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
 
@@ -83,11 +80,10 @@ def make_grid(dim: int, n_per_axis: int | None = None) -> Grid:
     dx = 1.0 / n
     axis = np.linspace(0.0, 1.0, n + 1)
     axis.setflags(write=False)
-    if dim == 1:
-        w = np.full(n + 1, dx)
-        w[0] = w[-1] = dx / 2.0
-    else:
-        w = np.full((n + 1, n + 1), dx * dx)
+    w = np.full(n + 1, dx)
+    w[0] = w[-1] = dx / 2.0
+    if dim == 2:
+        w = np.outer(w, w)
     w.setflags(write=False)
     return Grid(dim=dim, n=n, spacing=dx, axes=(axis,) * dim, quad_weights=w)
 

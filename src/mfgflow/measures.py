@@ -50,8 +50,8 @@ class Density(ScalarField):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.values.min() < 0.0:
-            raise ValueError("density values must be nonnegative")
+        if not np.isfinite(self.values).all() or self.values.min() < 0.0:
+            raise ValueError("density values must be finite and nonnegative")
         mass = integrate(self.values, self.grid)
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density must integrate to 1, got {mass!r}")
@@ -85,14 +85,14 @@ def density_grid(m) -> Grid:
 def normalize(values, grid: Grid) -> Density:
     """Rescale nonnegative node values so they integrate to one.
 
-    Raises ValueError on negative entries or an (numerically) all-zero
-    field.  Idempotent on the values of a density.
+    Raises ValueError on non-finite or negative entries or an
+    (numerically) all-zero field.  Idempotent on the values of a density.
     """
     if isinstance(values, ScalarField):
         raise ValueError("normalize takes node values; pass the field's .values")
     vals = np.asarray(values, dtype=float)
-    if vals.min() < 0.0:
-        raise ValueError("cannot normalize a field with negative values")
+    if not np.isfinite(vals).all() or vals.min() < 0.0:
+        raise ValueError("cannot normalize a field with non-finite or negative values")
     mass = integrate(vals, grid)
     if mass <= 0.0:
         raise ValueError("cannot normalize an all-zero field")

@@ -273,6 +273,26 @@ def test_refine_command(tmp_path):
     assert all(float(r[2]) >= 0 for r in rows)
 
 
+def test_refine_shortfall_exit_2(tmp_path, capsys):
+    # at eps 0.5 the 2D plateau cannot absorb the fixed step; no solver fails
+    code = main(
+        ["refine", "--preset", "linear-gauss2d", "--grid", "40", "--levels", "2",
+         "--out", str(tmp_path)]
+    )
+    assert code == EXIT_NOT_CONVERGED
+    assert "level 0 (eps=0.5) stopped: shortfall" in capsys.readouterr().err
+
+
+def test_refine_solver_failure_exit_4(tmp_path, capsys, fail_payoff_solve):
+    fail_payoff_solve(3)
+    code = main(
+        ["refine", "--preset", "linear-4x", "--grid", "200", "--levels", "2",
+         "--out", str(tmp_path)]
+    )
+    assert code == EXIT_SOLVER
+    assert "stopped: solver_failed" in capsys.readouterr().err
+
+
 def test_seventeen_digit_floats(tmp_path):
     main(["solve", "--preset", "linear-4x", "--grid", "150", "--out", str(tmp_path)])
     _, rows = read_csv(tmp_path / "density.csv")

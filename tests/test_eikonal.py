@@ -148,13 +148,15 @@ class TestEikonal2D:
 
 
 def test_import_and_2d_solve_load_no_heavy_scipy_modules():
-    # scipy.ndimage alone adds about 0.1 s and 5 MB to every start-up
+    # scipy.ndimage alone adds about 0.1 s and 5 MB to every start-up;
+    # scipy.optimize is used by the min-max-income test oracle only
     script = (
         "import sys, numpy as np, mfgflow\n"
         "g = mfgflow.make_grid(2, 20)\n"
         "mask = np.zeros(g.shape, dtype=bool); mask[3, 7] = True\n"
         "mfgflow.solve_eikonal(g, mfgflow.TargetSet(mask=mask, zeta=0.0))\n"
-        "print(sorted(m for m in ('scipy.ndimage', 'scipy.spatial') if m in sys.modules))\n"
+        "heavy = ('scipy.ndimage', 'scipy.spatial', 'scipy.optimize')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(mfgflow.__file__))
     env = dict(os.environ)

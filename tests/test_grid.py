@@ -21,6 +21,9 @@ def test_smallest_grid_trapezoid_weights():
     grid = make_grid(1, 2)
     assert np.allclose(grid.axes[0], [0.0, 0.5, 1.0])
     assert np.allclose(grid.quad_weights, [0.25, 0.5, 0.25])
+    # 2D weights are the outer product of the 1D ones
+    w1 = grid.quad_weights
+    assert np.array_equal(make_grid(2, 2).quad_weights, np.outer(w1, w1))
 
 
 def test_default_resolutions():
@@ -40,16 +43,10 @@ def test_rejects_bad_dim():
 
 
 def test_1d_weights_sum_to_one():
-    for n in (2, 17, 1000):
-        grid = make_grid(1, n)
+    # and in 2D, where the weights are the product of the 1D ones
+    for dim, n in ((1, 2), (1, 17), (1, 1000), (2, 2), (2, 17), (2, 100)):
+        grid = make_grid(dim, n)
         assert integrate(np.ones(grid.shape), grid) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_2d_weights_sum_near_one():
-    # rectangular node rule overshoots by the boundary strip, O(dx)
-    grid = make_grid(2, 100)
-    total = integrate(np.ones(grid.shape), grid)
-    assert abs(total - 1.0) <= 2.1 * grid.spacing
 
 
 def test_trapezoid_exact_on_affine():
@@ -85,5 +82,5 @@ def test_shape_mismatch_rejected():
 def test_2d_integration():
     grid = make_grid(2, 100)
     X, Y = grid.coords()
-    # product rule: rectangular sum of x*y tends to 1/4
-    assert integrate(X * Y, grid) == pytest.approx(0.25, abs=0.02)
+    # the product trapezoid rule is exact on the bilinear x*y
+    assert integrate(X * Y, grid) == pytest.approx(0.25, abs=1e-12)

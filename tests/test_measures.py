@@ -55,8 +55,24 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(raw, grid)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_field(self, grid, bad):
+        raw = np.ones(grid.shape)
+        raw[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            normalize(raw, grid)
+
 
 class TestDensityInvariants:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, grid, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Density(np.full(grid.shape, bad), grid)
+        vals = np.ones(grid.shape)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Density(vals, grid)
+
     def test_rejects_unnormalized(self, grid):
         with pytest.raises(ValueError):
             Density(2.0 * np.ones(grid.shape), grid)
