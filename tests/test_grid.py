@@ -43,9 +43,15 @@ def test_rejects_bad_dim():
 
 
 def test_1d_weights_sum_to_one():
-    # and in 2D, where the weights are the product of the 1D ones
-    for dim, n in ((1, 2), (1, 17), (1, 1000), (2, 2), (2, 17), (2, 100)):
-        grid = make_grid(dim, n)
+    for n in (2, 17, 1000):
+        grid = make_grid(1, n)
+        assert integrate(np.ones(grid.shape), grid) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_2d_weights_sum_near_one():
+    # the product of the 1D trapezoid weights sums to 1 up to rounding
+    for n in (2, 17, 100):
+        grid = make_grid(2, n)
         assert integrate(np.ones(grid.shape), grid) == pytest.approx(1.0, abs=1e-12)
 
 
