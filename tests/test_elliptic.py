@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -490,3 +492,52 @@ class TestChordNewton:
         monkeypatch.setattr(elliptic, "_malloc_trim", None)
         for a, b in zip(trimmed, solves()):
             assert np.array_equal(a, b)
+
+
+def exact_energy(lap, w, K, m, mu, x):
+    """J(x) = 1/2 x.W(-Lap)x - (1/mu) sum w F(x), in rational arithmetic."""
+    lap_x = [sum(Fraction(a) * xj for a, xj in zip(row, x)) for row in lap.toarray()]
+    quad = sum(wi * xi * li for wi, xi, li in zip(w, x, lap_x)) / 2
+    primitive = sum(
+        wi * (ki * xi**2 / 2 - xi**3 / 3 - mi * xi**2 / 2)
+        for wi, ki, mi, xi in zip(w, K, m, x)
+    )
+    return quad - primitive / mu
+
+
+@pytest.mark.parametrize("dim,n", [(1, 10), (2, 5)])
+def test_energy_increment_matches_exact_difference(dim, n):
+    grid = make_grid(dim, n)
+    rng = np.random.default_rng(3)
+    lap, w, mu = neumann_laplacian(grid), grid.quad_weights, 0.1
+    K = 1.0 + 3.0 * rng.uniform(size=grid.shape)
+    m = uniform(grid).values * rng.uniform(0.5, 1.5, grid.shape)
+    theta = rng.uniform(0.0, 2.0, grid.shape)
+    # a small step that projects about a third of the nodes onto 0, and
+    # a large projected step along a random direction
+    small = 0.1 * rng.normal(size=grid.shape)
+    projected = rng.uniform(size=grid.shape) < 0.3
+    small[projected] = -theta[projected]
+    large = np.maximum(theta - 50.0 * rng.normal(size=grid.shape), 0.0) - theta
+    assert np.all((theta + small)[projected] == 0.0)
+    assert np.any(theta + large == 0.0) and np.abs(large).max() > 10.0
+
+    exact = [[Fraction(v) for v in a.ravel()] for a in (w, K, m)]
+    th = [Fraction(v) for v in theta.ravel()]
+    for delta in (small, large):
+        got = elliptic._energy_increment(lap, w, K, m, mu, theta, delta)
+        moved = [t + Fraction(d) for t, d in zip(th, delta.ravel())]
+        want = (exact_energy(lap, *exact, Fraction(mu), moved)
+                - exact_energy(lap, *exact, Fraction(mu), th))
+        # every summand of the closed form, in absolute value
+        lap_mid = (lap @ (theta + 0.5 * delta).ravel()).reshape(grid.shape)
+        terms = (
+            np.abs((theta * (K - theta) - m * theta) * delta)
+            + np.abs(0.5 * (K - 2.0 * theta - m) * delta**2)
+            + np.abs(delta**3 / 3.0)
+        )
+        scale = np.sum(w * np.abs(delta * lap_mid)) + np.sum(w * terms) / mu
+        # a few roundings per summand and a sum over the nodes: the
+        # error is at most a small multiple of N u times the scale
+        bound = 4 * grid.num_nodes * np.finfo(float).eps * scale
+        assert abs(float(Fraction(got) - want)) <= bound

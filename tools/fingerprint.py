@@ -13,12 +13,16 @@ installed copy, never perfbench) and prints one SHA-256 line per part:
   variants, 100 x 100 intervals;
 - stress-1d: the 54 stress_test rows on linear-sin, seeds 0-26, n = 1000;
 - refine-1d: the sup_tv lists of refinement_study on nonlinear-cos for
-  both variants (eps0 0.1, pairs 6, max_outer 25, n = 1000).
+  both variants (eps0 0.1, pairs 6, max_outer 25, n = 1000);
+- randcos2d: the solve_payoff outcome on nonlinear-randcos2d, seeds 0-7,
+  from the uniform density, 50 x 50 intervals.
 
 A run_flow result hashes every field of every IterationRecord, the
 termination and convergence flag, and the bytes of the final m and
-theta.  Two checkouts that print the same four lines produce the same
-trajectories to the bit on these inputs.
+theta.  A solve_payoff outcome hashes the bytes of theta (zero after a
+TrivialBranchWarning) or the SolverError and its residual, then the
+class of every warning raised.  Two checkouts that print the same five
+lines produce the same trajectories to the bit on these inputs.
 """
 
 import os
@@ -30,6 +34,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import hashlib  # noqa: E402
 import sys  # noqa: E402
+import warnings  # noqa: E402
 from dataclasses import astuple  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -90,11 +95,32 @@ def refine_1d(digest):
         digest.update(_floats(*study.sup_tv))
 
 
+def randcos2d(digest):
+    grid = mfgflow.make_grid(2, 50)
+    m0 = mfgflow.normalize(np.ones(grid.shape), grid)
+    preset = mfgflow.PRESETS["nonlinear-randcos2d"]
+    for seed in range(8):
+        model = mfgflow.build_model(preset, grid, seed=seed)
+        digest.update(f"{seed}:".encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                theta = mfgflow.solve_payoff(model, m0)
+            except mfgflow.SolverError as exc:
+                digest.update(f"error:{exc}".encode())
+                digest.update(_floats(exc.residual))
+            else:
+                digest.update(theta.values.tobytes())
+        for warning in caught:
+            digest.update(f"warning:{warning.category.__name__}".encode())
+
+
 PARTS = {
     "presets-1d": presets_1d,
     "presets-2d": presets_2d,
     "stress-1d": stress_1d,
     "refine-1d": refine_1d,
+    "randcos2d": randcos2d,
 }
 
 
