@@ -13,17 +13,20 @@ solved by minimizing the energy
 
 with F the primitive (fixed by F(0)=0) of the right-hand side, under the
 constraint theta >= 0.  The nonlinear equation always admits the trivial
-branch theta == 0.  The minimization takes chord-Newton directions (a
-factorized Jacobian reused while it keeps contracting the residual) but
-accepts a step only when a projected Armijo test on the exact energy
-increment passes, and starts from a positive initialization; a pure
-Newton iteration on the equation would treat theta == 0 as just
-another root.  K must be positive somewhere; otherwise theta == 0 is
-the only solution and the model is rejected.
+branch theta == 0.  The minimization takes Newton directions: on 1D
+grids the exact one, from the tridiagonal Jacobian solved by LAPACK at
+every step, and on 2D grids chord ones (a factorized Jacobian reused
+while it keeps contracting the residual).  It accepts a step only when
+a projected Armijo test on the exact energy increment passes, and
+starts from a positive initialization; a pure Newton iteration on the
+equation would treat theta == 0 as just another root.  K must be
+positive somewhere; otherwise theta == 0 is the only solution and the
+model is rejected.
 
-The operators a model needs on one grid (-Lap, the factorized linear
-system and its source f, or the latest factorized Jacobian) are built
-once per model and grid and cached on the model.
+The operators a model needs on one grid (-Lap and, in 1D, its three
+bands; the factorized linear system and its source f; or the latest
+factorized 2D Jacobian) are built once per model and grid and cached on
+the model.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
 
 from .grid import Grid
@@ -64,7 +68,7 @@ class NonlinearSolveOptions:
     stationarity residual max |Lap(theta) + F'(theta)/mu| drops below
     grad_tol / spacing^dim.  max_iters caps the Newton steps of one
     descent; converging solves in the tests and the benchmark take at
-    most 15.
+    most 6 (exact steps, 1D) and 12 (chord steps, 2D).
     """
 
     grad_tol: float = 1e-8
@@ -172,9 +176,12 @@ class _Operators:
     """What a model needs on one grid, built once and cached on the model."""
 
     lap: sp.csr_matrix  # -Lap with reflected Neumann rows
+    # sub-, main and superdiagonal of lap for the harvesting model on a
+    # 1D grid; None otherwise
+    bands: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     system: sp.csc_matrix | None  # mu (-Lap) + diag(P); None for the harvesting model
     f: np.ndarray | None  # the linear model's source on the grid
-    # factorization of system, or the harvesting model's latest chord
+    # factorization of system, or the harvesting model's latest 2D chord
     # Jacobian (None until its first solve)
     lu: object
     norm: float | None  # max row sum of system
@@ -209,11 +216,14 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
             system = model.mu * lap + sp.diags(model.coefficient("P", grid).ravel())
             system = system.tocsc()
             ops = _Operators(
-                lap, system, model.coefficient("f", grid), _factorize(system),
+                lap, None, system, model.coefficient("f", grid), _factorize(system),
                 float(abs(system).sum(axis=1).max()),
             )
         else:
-            ops = _Operators(lap, None, None, None, None)
+            bands = None
+            if grid.dim == 1:
+                bands = (lap.diagonal(-1), lap.diagonal(), lap.diagonal(1))
+            ops = _Operators(lap, bands, None, None, None, None)
         model._cache[key] = ops
     return ops
 
@@ -254,13 +264,16 @@ def solve_nonlinear(
 ) -> ScalarField:
     """Minimize the payoff energy under theta >= 0.
 
-    Projected chord-Newton descent with Armijo backtracking.  The
-    direction solves J d = g, where g is the strong-form energy gradient
+    Projected Newton descent with Armijo backtracking.  The direction
+    solves J d = g, where g is the strong-form energy gradient
     -Lap(theta) - F'(theta)/mu and J = -Lap - diag((K - 2 theta - m)/mu)
-    its Jacobian, factorized at some earlier iterate.  The factor is
-    cached with the model's operators and reused across solves; it is
-    rebuilt at the current iterate when the last step cut max |g| by
-    less than CHORD_CONTRACTION, or when the cached factor gives no
+    its Jacobian.  On a 1D grid J is tridiagonal, so solving it costs
+    about as much as one factor solve: every step takes the exact
+    Newton direction from LAPACK's dgtsv, and no factor is kept.  On a
+    2D grid the steps are chord-Newton: J is factorized at some earlier
+    iterate, cached with the model's operators and reused across solves;
+    it is rebuilt at the current iterate when the last step cut max |g|
+    by less than CHORD_CONTRACTION, or when the cached factor gives no
     descent direction.  A cold solve (no theta0, or the cold retry)
     factorizes at its first step, so its result depends on its inputs
     alone.  A step is accepted only when the exact energy increment
@@ -300,14 +313,32 @@ def solve_nonlinear(
 
     energy_increment = partial(_energy_increment, lap, w, K, m_vals, mu)
 
+    def curvature(theta):
+        return ((K - 2.0 * theta - m_vals) / mu).ravel()
+
+    def exact_direction(theta, g, size, last):
+        lower, diag, upper = ops.bands
+        return _solve_tridiagonal(lower, diag - curvature(theta), upper, g)
+
     def refactor(theta):
         ops.lu = None  # release the old factor before building the new one
-        curvature = ((K - 2.0 * theta - m_vals) / mu).ravel()
-        jacobian = (lap - sp.diags(curvature)).tocsc()
+        jacobian = (lap - sp.diags(curvature(theta))).tocsc()
         ops.lu = _factorize(jacobian, permc_spec="MMD_AT_PLUS_A")
 
-    def newton_direction(g):
+    def chord_solve(g):
         return ops.lu.solve(g.ravel()).reshape(grid.shape)
+
+    def chord_direction(theta, g, size, last):
+        fresh = ops.lu is None or size * CHORD_CONTRACTION > last
+        if fresh:
+            refactor(theta)
+        direction = chord_solve(g)
+        if not fresh and np.sum(w * g * direction) <= 0.0:
+            refactor(theta)  # the stale factor gives no descent direction
+            direction = chord_solve(g)
+        return direction
+
+    newton_direction = exact_direction if grid.dim == 1 else chord_direction
 
     def descend(theta, cold):
         if cold:
@@ -318,13 +349,7 @@ def solve_nonlinear(
             size = np.abs(g).max()
             if size <= strong_tol:
                 return theta
-            fresh = ops.lu is None or size * CHORD_CONTRACTION > last
-            if fresh:
-                refactor(theta)
-            direction = newton_direction(g)
-            if not fresh and np.sum(w * g * direction) <= 0.0:
-                refactor(theta)  # the stale factor gives no descent direction
-                direction = newton_direction(g)
+            direction = newton_direction(theta, g, size, last)
             theta = _armijo_step(theta, g, direction, w, energy_increment)
             last = size
         raise SolverError(
@@ -347,6 +372,17 @@ def solve_nonlinear(
         )
         theta = np.zeros(grid.shape)
     return ScalarField(theta, grid)
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve the tridiagonal system with LAPACK's dgtsv (partial pivoting).
+
+    Raises SolverError on an exactly zero pivot, as a singular splu does.
+    """
+    *_, x, info = dgtsv(lower, diag, upper, rhs.reshape(-1, 1))
+    if info > 0:
+        raise SolverError(f"payoff operator is singular: zero pivot in row {info}")
+    return x.reshape(rhs.shape)
 
 
 def _energy_increment(lap, w, K, m, mu, theta, delta):

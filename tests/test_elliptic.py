@@ -420,8 +420,9 @@ class TestChordNewton:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(elliptic, "solve_nonlinear", counting_solve)
-        grid = make_grid(1, 200)
-        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.axes[0])
+        # chord steps, and so a reused factor, are taken on 2D grids only
+        grid = make_grid(2, 20)
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.coords()[0])
         result = run_flow(model, uniform(grid), FlowConfig(eps0=0.25))
         assert result.converged
         assert 0 < len(factorizations) < len(solves)
@@ -460,8 +461,9 @@ class TestChordNewton:
         "planted", [0.0, -1e5], ids=["indefinite", "negative-definite"]
     )
     def test_stale_factor_is_refactored(self, factorizations, planted):
-        grid = make_grid(1, 300)
-        K = 4.0 * grid.axes[0]
+        grid = make_grid(2, 20)  # a factor is cached on 2D grids only
+        x = grid.coords()[0]
+        K = 4.0 * x
         model = ModelSpec.nonlinear(mu=0.1, K=K)
         m = uniform(grid)
         cold = solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=K), m)
@@ -469,9 +471,9 @@ class TestChordNewton:
         # at -1e5 negative definite, so its direction is an ascent one
         ops = elliptic._operators(model, grid)
         curvature = (K - 2.0 * planted - m.values) / 0.1
-        ops.lu = splu((ops.lap - sp.diags(curvature)).tocsc())
+        ops.lu = splu((ops.lap - sp.diags(curvature.ravel())).tocsc())
         factorizations.clear()
-        start = ScalarField(cold.values + 0.5 * np.cos(np.pi * grid.axes[0]), grid)
+        start = ScalarField(cold.values + 0.5 * np.cos(np.pi * x), grid)
         theta = solve_nonlinear(model, m, theta0=start)
         assert len(factorizations) >= 1
         assert pde_residual(model, m, theta) <= strong_tol(grid)
@@ -492,6 +494,54 @@ class TestChordNewton:
         monkeypatch.setattr(elliptic, "_malloc_trim", None)
         for a, b in zip(trimmed, solves()):
             assert np.array_equal(a, b)
+
+
+class TestTridiagonalNewton:
+    def test_1d_solves_do_not_factorize(self, factorizations):
+        grid = make_grid(1, 200)
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.axes[0])
+        theta = solve_nonlinear(model, uniform(grid))
+        result = run_flow(model, uniform(grid), FlowConfig(eps0=0.25))
+        assert result.converged
+        assert pde_residual(model, uniform(grid), theta) <= strong_tol(grid)
+        assert factorizations == []
+        grid = make_grid(2, 20)
+        solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.coords()[0]), uniform(grid))
+        assert len(factorizations) >= 1
+
+    def test_direction_is_the_exact_newton_direction(self, monkeypatch):
+        grid = make_grid(1, 50)
+        x = grid.axes[0]
+        K, mu = 4.0 * x, 0.1
+        m = normalize(np.exp(-10.0 * x), grid)
+        model = ModelSpec.nonlinear(mu=mu, K=K)
+        directions = []
+        solve = elliptic._solve_tridiagonal
+
+        def recording_solve(lower, diag, upper, rhs):
+            direction = solve(lower, diag, upper, rhs)
+            directions.append((rhs.copy(), direction))
+            return direction
+
+        monkeypatch.setattr(elliptic, "_solve_tridiagonal", recording_solve)
+        theta = 1.0 + np.sin(3.0 * x)  # far from the solution, J indefinite
+        solve_nonlinear(model, m, theta0=ScalarField(theta, grid))
+        g, direction = directions[0]
+        curvature = (K - 2.0 * theta - m.values) / mu
+        jacobian = neumann_laplacian(grid) - sp.diags(curvature)
+        assert np.any(curvature > 0.0) and np.abs(g).max() > 1.0
+        want = np.linalg.solve(jacobian.toarray(), g)
+        assert np.abs(direction - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_zero_pivot_raises(self, monkeypatch):
+        def singular(dl, d, du, b):
+            return dl, d, du, b, 3  # LAPACK: U(3,3) is exactly zero
+
+        monkeypatch.setattr(elliptic, "dgtsv", singular)
+        grid = make_grid(1, 50)
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.axes[0])
+        with pytest.raises(SolverError, match="payoff operator is singular"):
+            solve_nonlinear(model, uniform(grid))
 
 
 def exact_energy(lap, w, K, m, mu, x):
