@@ -6,8 +6,10 @@ boundary conditions (second-order ghost-node reflection):
 * linear:    -mu Lap(theta) + P(x) theta = f(x) - m
 * nonlinear: -mu Lap(theta) = theta (K(x) - theta) - m theta
 
-The linear problem is a direct sparse solve.  The nonlinear problem is
-solved by minimizing the energy
+The linear problem is a direct solve on a factorization cached per model
+and grid: LAPACK's tridiagonal LU (dgttrf/dgttrs) in 1D, SuperLU with
+MMD ordering in 2D.  The nonlinear problem is solved by minimizing the
+energy
 
     J(theta) = 1/2 int |grad theta|^2 - (1/mu) int F(theta),
 
@@ -23,10 +25,10 @@ equation would treat theta == 0 as just another root.  K must be
 positive somewhere; otherwise theta == 0 is the only solution and the
 model is rejected.
 
-The operators a model needs on one grid (-Lap and, in 1D, its three
-bands; the factorized linear system and its source f; or the latest
-factorized 2D Jacobian) are built once per model and grid and cached on
-the model.
+The operators a model needs on one grid (-Lap; in 1D, the three bands
+of the linear system or of -Lap; the factorized linear system and its
+source f; or the latest factorized 2D Jacobian) are built once per
+model and grid and cached on the model.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from .grid import Grid
@@ -166,8 +168,10 @@ def neumann_laplacian(grid: Grid) -> sp.csr_matrix:
 CHORD_CONTRACTION = 2.0
 
 # Accepted normwise backward error of a linear solve, in units of the
-# unit roundoff.  Correct solves of every preset measure at most 5.7
-# (at most 1.8 in 1D, up to n = 1e6).
+# unit roundoff.  Correct solves of every preset measure at most 5.7 in
+# 2D; the 1D dgttrs solves measure at most 1.23 / 1.42 / 1.27 / 1.76 at
+# n = 1e3 / 1e4 / 1e5 / 1e6 (three linear presets, uniform and two
+# random densities).
 BACKWARD_ERROR_FACTOR = 64.0
 
 
@@ -176,13 +180,14 @@ class _Operators:
     """What a model needs on one grid, built once and cached on the model."""
 
     lap: sp.csr_matrix  # -Lap with reflected Neumann rows
-    # sub-, main and superdiagonal of lap for the harvesting model on a
-    # 1D grid; None otherwise
+    # on a 1D grid, sub-, main and superdiagonal of system (linear
+    # model) or of lap (harvesting model); None in 2D
     bands: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     system: sp.csc_matrix | None  # mu (-Lap) + diag(P); None for the harvesting model
     f: np.ndarray | None  # the linear model's source on the grid
-    # factorization of system, or the harvesting model's latest 2D chord
-    # Jacobian (None until its first solve)
+    # factorization of system (dgttrf's outputs in 1D, SuperLU in 2D),
+    # or the harvesting model's latest 2D chord Jacobian (None until
+    # its first solve)
     lu: object
     norm: float | None  # max row sum of system
 
@@ -198,13 +203,24 @@ except (AttributeError, OSError, TypeError):  # not glibc
     _malloc_trim = None
 
 
-def _factorize(matrix: sp.csc_matrix, **options):
+def _factorize(matrix: sp.csc_matrix):
+    """SuperLU factor of a 2D operator, in the MMD ordering of A^T + A."""
     if _malloc_trim is not None:
         _malloc_trim(0)
     try:
-        return splu(matrix, **options)
+        return splu(matrix, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"payoff operator is singular: {exc}") from exc
+
+
+def _check_pivots(info):
+    """Raise SolverError on an exactly zero LAPACK pivot, as a singular splu does."""
+    if info > 0:
+        raise SolverError(f"payoff operator is singular: zero pivot in row {info}")
+
+
+def _bands(matrix):
+    return matrix.diagonal(-1), matrix.diagonal(), matrix.diagonal(1)
 
 
 def _operators(model: ModelSpec, grid: Grid) -> _Operators:
@@ -215,14 +231,18 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
         if model.kind == "linear":
             system = model.mu * lap + sp.diags(model.coefficient("P", grid).ravel())
             system = system.tocsc()
+            if grid.dim == 1:
+                bands = _bands(system)
+                *lu, info = dgttrf(*bands)
+                _check_pivots(info)
+            else:
+                bands, lu = None, _factorize(system)
             ops = _Operators(
-                lap, None, system, model.coefficient("f", grid), _factorize(system),
+                lap, bands, system, model.coefficient("f", grid), lu,
                 float(abs(system).sum(axis=1).max()),
             )
         else:
-            bands = None
-            if grid.dim == 1:
-                bands = (lap.diagonal(-1), lap.diagonal(), lap.diagonal(1))
+            bands = _bands(lap) if grid.dim == 1 else None
             ops = _Operators(lap, bands, None, None, None, None)
         model._cache[key] = ops
     return ops
@@ -232,7 +252,11 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
     """Solve -mu Lap(theta) + P theta = f - m by direct factorization.
 
     The factorized operator and f on the grid are cached on the model
-    (they depend only on the grid, mu, P and f).  The solve is accepted
+    (they depend only on the grid, mu, P and f).  In 1D the operator is
+    tridiagonal: it is factorized by LAPACK's dgttrf and solved by
+    dgttrs, and its product with theta is taken on its three bands.  In
+    2D it is factorized by SuperLU in the MMD ordering of A^T + A, the
+    ordering of the harvesting model's Jacobian.  The solve is accepted
     when its normwise backward error is a small multiple of the unit
     roundoff:
     ||A theta - b|| <= BACKWARD_ERROR_FACTOR * u * (||A|| ||theta|| + ||b||)
@@ -244,8 +268,16 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
     grid = grid_of(m)
     ops = _operators(model, grid)
     rhs = (ops.f - m.values).ravel()
-    theta = ops.lu.solve(rhs)
-    resid = np.abs(ops.system @ theta - rhs).max()
+    if ops.bands is None:
+        theta = ops.lu.solve(rhs)
+        product = ops.system @ theta
+    else:
+        theta, _ = dgttrs(*ops.lu, rhs)
+        lower, diag, upper = ops.bands
+        product = diag * theta
+        product[1:] += lower * theta[:-1]
+        product[:-1] += upper * theta[1:]
+    resid = np.abs(product - rhs).max()
     scale = ops.norm * np.abs(theta).max() + np.abs(rhs).max()
     bound = BACKWARD_ERROR_FACTOR * np.finfo(float).eps / 2.0 * scale
     if not np.isfinite(theta).all() or not resid <= bound:
@@ -323,7 +355,7 @@ def solve_nonlinear(
     def refactor(theta):
         ops.lu = None  # release the old factor before building the new one
         jacobian = (lap - sp.diags(curvature(theta))).tocsc()
-        ops.lu = _factorize(jacobian, permc_spec="MMD_AT_PLUS_A")
+        ops.lu = _factorize(jacobian)
 
     def chord_solve(g):
         return ops.lu.solve(g.ravel()).reshape(grid.shape)
@@ -380,8 +412,7 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     Raises SolverError on an exactly zero pivot, as a singular splu does.
     """
     *_, x, info = dgtsv(lower, diag, upper, rhs.reshape(-1, 1))
-    if info > 0:
-        raise SolverError(f"payoff operator is singular: zero pivot in row {info}")
+    _check_pivots(info)
     return x.reshape(rhs.shape)
 
 

@@ -35,7 +35,8 @@ from .eikonal import extract_target, solve_eikonal
 from .elliptic import ModelSpec, SolverError, solve_payoff
 from .grid import integrate
 from .measures import (
-    NORMALIZATION_TOL, Density, ScalarField, density_grid, grid_of, support, tv_distance,
+    NORMALIZATION_TOL, SUPPORT_THRESHOLD, Density, ScalarField, density_grid, grid_of,
+    tv_distance,
 )
 
 # The eikonal variant's target holds every node whose income lies within
@@ -121,7 +122,8 @@ def nash_gap(theta: ScalarField, m: ScalarField) -> float:
     flow stops once this residual falls below tau.
     """
     grid_of(theta, m)
-    mask = support(m)
+    vals = m.values
+    mask = vals > SUPPORT_THRESHOLD * vals.max()  # support(m) without its checks
     if not mask.any():
         raise ValueError("m has empty support")
     th = theta.values
@@ -220,15 +222,22 @@ class _Cut:
 
     selection: _Selection
     plateau: _Plateau
+    reach: float | None  # _reach(m, v) when selecting by distance v
+
+
+def _reach(m, v) -> float:
+    """The largest distance v at which m carries mass (0 when none)."""
+    return float(v.values[m.values > 0.0].max(initial=0.0))
 
 
 def _cut(m, theta, v, model) -> _Cut:
     """The cut of an iterate: selection by income, or by distance v."""
     if v is None:
-        selection = _selection(m, theta, descending=False)
+        selection, reach = _selection(m, theta, descending=False), None
     else:
         selection = _selection(m, v, descending=True, tiebreak=theta)
-    return _Cut(selection, _plateau(theta, model))
+        reach = _reach(m, v)
+    return _Cut(selection, _plateau(theta, model), reach)
 
 
 def _reused(part, *sources):
@@ -286,12 +295,13 @@ def select_farthest(m: ScalarField, v: ScalarField, eps: float, income=None, cut
         grid_of(m, v, income)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if float(v.values[m.values > 0.0].max(initial=0.0)) <= 0.0:
-        raise ValueError("all mass already sits on the target set")
     if cut is None:
         selection = _selection(m, v, descending=True, tiebreak=income)
+        reach = _reach(m, v)
     else:
-        selection = _reused(cut.selection, m, v, income)
+        selection, reach = _reused(cut.selection, m, v, income), cut.reach
+    if reach <= 0.0:
+        raise ValueError("all mass already sits on the target set")
     return _split(selection, eps)
 
 
@@ -444,10 +454,10 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
         if halvings == 0:
             if cfg.variant == "eikonal":
                 v = _distance_field(grid, theta, resid)
-                if v.values[m.values > 0.0].max() <= 0.0:
-                    termination = "empty_selection"
-                    break
             cut = _cut(m, theta, v, model)
+            if v is not None and cut.reach <= 0.0:
+                termination = "empty_selection"
+                break
         trial = _trial(m, theta, v, model, eps, not adaptive, cut)
         if trial == "solver_failed":
             termination = trial

@@ -21,6 +21,10 @@ from .grid import Grid, integrate
 
 NORMALIZATION_TOL = 1e-10
 
+# A node is in the support of m when it carries more than this fraction
+# of max(m).
+SUPPORT_THRESHOLD = 1e-9
+
 MAX_REDRAWS = 100
 
 
@@ -32,16 +36,19 @@ class ScalarField:
     grid: Grid
 
     def __post_init__(self):
-        if isinstance(self.values, ScalarField):
-            raise ValueError(
-                f"{type(self).__name__} takes node values; pass the field's .values"
-            )
-        vals = np.asarray(self.values, dtype=float)
+        vals = self.values
+        # a float64 ndarray is kept as it is, as np.asarray would keep it
+        if type(vals) is not np.ndarray or vals.dtype != np.float64:
+            if isinstance(vals, ScalarField):
+                raise ValueError(
+                    f"{type(self).__name__} takes node values; pass the field's .values"
+                )
+            vals = np.asarray(vals, dtype=float)
+            object.__setattr__(self, "values", vals)
         if vals.shape != self.grid.shape:
             raise ValueError(
                 f"field shape {vals.shape} does not match grid {self.grid.shape}"
             )
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -123,7 +130,7 @@ def w1_distance_1d(m1: ScalarField, m2: ScalarField) -> float:
     return integrate(np.abs(cdf), grid)
 
 
-def support(m: ScalarField, rel_threshold: float = 1e-9) -> np.ndarray:
+def support(m: ScalarField, rel_threshold: float = SUPPORT_THRESHOLD) -> np.ndarray:
     """Boolean mask of nodes carrying mass above rel_threshold * max(m)."""
     grid_of(m)
     if not 0.0 <= rel_threshold < 1.0:

@@ -188,17 +188,46 @@ class TestLinearSolve:
         # nodes up to O(dx_coarse^2)
         assert np.abs(theta[::10] - theta_c).max() <= 10 * coarse.spacing**2
 
-    def test_corrupted_factorization_raises(self, monkeypatch):
-        grid = make_grid(1, 1000)
-        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
+    @pytest.mark.parametrize("dim,n", [(1, 1000), (2, 30)], ids=["1d", "2d"])
+    def test_corrupted_factorization_raises(self, monkeypatch, dim, n):
+        grid = make_grid(dim, n)
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.coords()[0])
         # factor an operator whose diagonal is off by 1e-6: the solve then
         # misses the right-hand side by about 1e-6 * |theta|, far above
         # the roundoff level of a correct solve
-        def corrupted_splu(A):
-            return splu(A + 1e-6 * sp.identity(A.shape[0], format="csc"))
+        if dim == 1:  # LAPACK's tridiagonal factorization
+            dgttrf = elliptic.dgttrf
 
-        monkeypatch.setattr(elliptic, "splu", corrupted_splu)
+            def corrupted_dgttrf(dl, d, du):
+                return dgttrf(dl, d + 1e-6, du)
+
+            monkeypatch.setattr(elliptic, "dgttrf", corrupted_dgttrf)
+        else:
+            def corrupted_splu(A, **options):
+                return splu(A + 1e-6 * sp.identity(A.shape[0], format="csc"), **options)
+
+            monkeypatch.setattr(elliptic, "splu", corrupted_splu)
         with pytest.raises(SolverError, match="exceeds tolerance"):
+            solve_linear(model, uniform(grid))
+
+    def test_1d_solve_matches_dense_solve(self):
+        grid = make_grid(1, 400)
+        x = grid.axes[0]
+        model = ModelSpec.linear(mu=0.1, P=0.5 + x, f=15.0 * (np.cos(2.0 * np.pi * x) + 1.0))
+        m = random_density(3, grid)
+        theta = solve_linear(model, m).values
+        system = elliptic._operators(model, grid).system
+        want = np.linalg.solve(system.toarray(), model.f - m.values)
+        assert np.abs(theta - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_1d_zero_pivot_raises(self, monkeypatch):
+        def singular(dl, d, du):
+            return dl, d, du, du[:-1], np.arange(1, d.size + 1, dtype=np.int32), 3
+
+        monkeypatch.setattr(elliptic, "dgttrf", singular)
+        grid = make_grid(1, 50)
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
+        with pytest.raises(SolverError, match="payoff operator is singular"):
             solve_linear(model, uniform(grid))
 
     def test_superposition_in_m(self):
@@ -498,16 +527,22 @@ class TestChordNewton:
 
 class TestTridiagonalNewton:
     def test_1d_solves_do_not_factorize(self, factorizations):
+        # every 1D payoff solve runs on LAPACK's tridiagonal routines
         grid = make_grid(1, 200)
         model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.axes[0])
         theta = solve_nonlinear(model, uniform(grid))
         result = run_flow(model, uniform(grid), FlowConfig(eps0=0.25))
         assert result.converged
         assert pde_residual(model, uniform(grid), theta) <= strong_tol(grid)
+        linear = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
+        solve_linear(linear, uniform(grid))
+        assert run_flow(linear, uniform(grid), FlowConfig()).converged
         assert factorizations == []
         grid = make_grid(2, 20)
         solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.coords()[0]), uniform(grid))
         assert len(factorizations) >= 1
+        solve_linear(ModelSpec.linear(mu=0.1, P=1.0, f=1.0), uniform(grid))
+        assert all(options == {"permc_spec": "MMD_AT_PLUS_A"} for options in factorizations)
 
     def test_direction_is_the_exact_newton_direction(self, monkeypatch):
         grid = make_grid(1, 50)

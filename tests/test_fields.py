@@ -148,3 +148,27 @@ FIELD_AS_VALUES_CALLS = {
 def test_field_as_node_values_rejected(name):
     with pytest.raises(ValueError, match=r"\.values"):
         FIELD_AS_VALUES_CALLS[name]()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.arange(21), list(range(21)), np.arange(21, dtype=np.float32)],
+    ids=["int-array", "list", "float32-array"],
+)
+def test_scalar_field_converts_node_values_to_float(values):
+    fld = ScalarField(values, GRID)
+    assert type(fld.values) is np.ndarray and fld.values.dtype == np.float64
+    assert np.array_equal(fld.values, np.arange(21.0))
+
+
+def test_scalar_field_keeps_a_float_array():
+    assert ScalarField(BARE, GRID).values is BARE
+
+
+@pytest.mark.parametrize(
+    "values", [np.ones(20), np.ones((21, 1)), list(range(20))],
+    ids=["short", "column", "short-list"],
+)
+def test_scalar_field_rejects_a_wrong_shape(values):
+    with pytest.raises(ValueError, match="does not match grid"):
+        ScalarField(values, GRID)

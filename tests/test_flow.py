@@ -144,6 +144,14 @@ class TestSelectFarthest:
         with pytest.raises(ValueError, match="already sits on the target set"):
             select_farthest(uniform, v, 0.1)
 
+    def test_zero_distance_is_empty_with_a_cut(self, grid, uniform):
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
+        theta = solve_payoff(model, uniform)
+        v = field(grid, np.zeros(grid.shape))
+        cut = flow._cut(uniform, theta, v, model)
+        with pytest.raises(ValueError, match="already sits on the target set"):
+            select_farthest(uniform, v, 0.1, income=theta, cut=cut)
+
     def test_two_target_midpoint_band(self, grid, uniform):
         x = grid.axes[0]
         v = field(grid, np.minimum(x, 1.0 - x))
@@ -302,6 +310,15 @@ class TestRunFlow:
         result = run_flow(model, m0, FlowConfig(fixed_eps=1.0, max_outer=5))
         assert result.termination == "max_outer"
         assert result.iterations == 5
+
+    def test_mass_on_the_target_ends_an_eikonal_run(self, grid, uniform, monkeypatch):
+        monkeypatch.setattr(
+            flow, "_distance_field", lambda grid, theta, resid: field(grid, np.zeros(grid.shape))
+        )
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
+        result = run_flow(model, uniform, FlowConfig(variant="eikonal"))
+        assert result.termination == "empty_selection"
+        assert result.iterations == 0 and not result.converged
 
     def test_solver_failure_mid_flow_is_reported(self, fail_payoff_solve):
         grid = make_grid(1, 200)
