@@ -18,12 +18,13 @@ constraint theta >= 0.  The nonlinear equation always admits the trivial
 branch theta == 0.  The minimization takes Newton directions: on 1D
 grids the exact one, from the tridiagonal Jacobian solved by LAPACK at
 every step, and on 2D grids chord ones (a factorized Jacobian reused
-while it keeps contracting the residual).  It accepts a step only when
-a projected Armijo test on the exact energy increment passes, and
-starts from a positive initialization; a pure Newton iteration on the
-equation would treat theta == 0 as just another root.  K must be
-positive somewhere; otherwise theta == 0 is the only solution and the
-model is rejected.
+while it keeps contracting the residual), each mixed with the
+previous chord step by depth-one Anderson acceleration.  It accepts a
+step only when a projected Armijo test on the exact energy increment
+passes, and starts from a positive initialization; a pure Newton
+iteration on the equation would treat theta == 0 as just another root.
+K must be positive somewhere; otherwise theta == 0 is the only solution
+and the model is rejected.
 
 The operators a model needs on one grid (-Lap; in 1D, the three bands
 of the linear system or of -Lap; the factorized linear system and its
@@ -69,12 +70,14 @@ class NonlinearSolveOptions:
     per-node grid weight, i.e. the solve stops once the strong-form
     stationarity residual max |Lap(theta) + F'(theta)/mu| drops below
     grad_tol / spacing^dim.  max_iters caps the Newton steps of one
-    descent; converging solves in the tests and the benchmark take at
-    most 6 (exact steps, 1D) and 12 (chord steps, 2D).
+    descent.  Converging solves take at most 6 (exact steps, 1D) and 14
+    (mixed chord steps, 2D) in the tests, the benchmark and the
+    nonlinear-randcos2d payoffs of seeds 0-7 at 21^2 to 101^2 nodes;
+    the default leaves more than three times that.
     """
 
     grad_tol: float = 1e-8
-    max_iters: int = 200
+    max_iters: int = 50
     init_floor: float = 1e-3
 
     def __post_init__(self):
@@ -306,11 +309,16 @@ def solve_nonlinear(
     iterate, cached with the model's operators and reused across solves;
     it is rebuilt at the current iterate when the last step cut max |g|
     by less than CHORD_CONTRACTION, or when the cached factor gives no
-    descent direction.  A cold solve (no theta0, or the cold retry)
-    factorizes at its first step, so its result depends on its inputs
-    alone.  A step is accepted only when the exact energy increment
-    passes the Armijo test; the raw gradient is tried when the Newton
-    direction fails it.
+    descent direction.  The chord iteration is a fixed-point map, and
+    each chord step d after the first since a factorization is replaced
+    by its Anderson(1) mixing with the previous iterate and chord step
+    (see _mixed_step), unless the mixed step is not finite or gives no
+    descent direction.  That history is cleared at every factorization
+    and at the start of every descent.  A cold solve (no theta0, or the
+    cold retry) factorizes at its first step, so its result depends on
+    its inputs alone.  A step is accepted only when the exact energy
+    increment passes the Armijo test; the raw gradient is tried when the
+    Newton direction fails it.
 
     Initialization is max(K - m, init_floor) unless theta0 (a warm
     start) is supplied; the positive start and the energy test steer
@@ -352,7 +360,13 @@ def solve_nonlinear(
         lower, diag, upper = ops.bands
         return _solve_tridiagonal(lower, diag - curvature(theta), upper, g)
 
+    # the previous iterate of this descent and its chord step, both
+    # since the last factorization; None when there is no such iterate
+    previous = None
+
     def refactor(theta):
+        nonlocal previous
+        previous = None
         ops.lu = None  # release the old factor before building the new one
         jacobian = (lap - sp.diags(curvature(theta))).tocsc()
         ops.lu = _factorize(jacobian)
@@ -361,18 +375,27 @@ def solve_nonlinear(
         return ops.lu.solve(g.ravel()).reshape(grid.shape)
 
     def chord_direction(theta, g, size, last):
+        nonlocal previous
         fresh = ops.lu is None or size * CHORD_CONTRACTION > last
         if fresh:
             refactor(theta)
-        direction = chord_solve(g)
-        if not fresh and np.sum(w * g * direction) <= 0.0:
+        step = chord_solve(g)
+        if not fresh and np.sum(w * g * step) <= 0.0:
             refactor(theta)  # the stale factor gives no descent direction
-            direction = chord_solve(g)
+            step = chord_solve(g)
+        direction = step
+        if previous is not None:
+            mixed = _mixed_step(theta, step, *previous)
+            if np.sum(w * g * mixed) > 0.0:  # else not a descent direction
+                direction = mixed
+        previous = theta, step
         return direction
 
     newton_direction = exact_direction if grid.dim == 1 else chord_direction
 
     def descend(theta, cold):
+        nonlocal previous
+        previous = None  # the mixing history never crosses descents
         if cold:
             ops.lu = None  # a cold solve depends on its inputs alone
         last = np.inf
@@ -414,6 +437,25 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     *_, x, info = dgtsv(lower, diag, upper, rhs.reshape(-1, 1))
     _check_pivots(info)
     return x.reshape(rhs.shape)
+
+
+def _mixed_step(theta, step, theta_prev, step_prev):
+    """Anderson(1) (secant) mixing of a chord step with the previous one.
+
+    The chord iteration is the fixed-point map theta -> theta - step;
+    depth-one Anderson mixing (Walker & Ni 2011) replaces its step by
+    step - gamma (dstep - dtheta), where dstep and dtheta are the changes
+    since the previous iterate and gamma = <dstep, step> / <dstep, dstep>
+    minimizes the norm of step - gamma dstep.  Returns step itself when
+    the mixed step is not finite.
+    """
+    d_step = step - step_prev
+    denom = float(np.vdot(d_step, d_step))
+    if not denom > 0.0:
+        return step
+    gamma = float(np.vdot(d_step, step)) / denom
+    mixed = step - gamma * (d_step - (theta - theta_prev))
+    return mixed if np.isfinite(mixed).all() else step
 
 
 def _energy_increment(lap, w, K, m, mu, theta, delta):

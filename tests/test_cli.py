@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from mfgflow.cli import (
     EXIT_SOLVER,
     main,
 )
+from mfgflow.elliptic import TrivialBranchWarning
 from mfgflow.flow import TARGET_GAP_FRACTION
 
 
@@ -80,6 +82,23 @@ def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     )
     assert code == EXIT_NOT_CONVERGED
     assert "converged=false" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["0", "2"])
+def test_solve_randcos2d_leaves_the_trivial_branch(tmp_path, capsys, seed):
+    # with unmixed chord steps, seed 0 rested on theta == 0 and reported
+    # a false equilibrium at 0 iterations, and seed 2 exited 4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(
+            ["solve", "--preset", "nonlinear-randcos2d", "--grid", "20", "--seed", seed,
+             "--out", str(tmp_path)]
+        )
+    out, err = capsys.readouterr()
+    assert code == EXIT_OK
+    assert int(re.search(r"iterations=(\d+)", out).group(1)) > 0
+    assert not any(issubclass(w.category, TrivialBranchWarning) for w in caught)
+    assert "trivial" not in err
 
 
 @pytest.mark.parametrize("fixed_eps", ["0", "-1", "2"])

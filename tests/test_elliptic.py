@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,11 @@ from mfgflow import (
     FlowConfig,
     ModelSpec,
     NonlinearSolveOptions,
+    PRESETS,
     ScalarField,
     SolverError,
     TrivialBranchWarning,
+    build_model,
     make_grid,
     integrate,
     normalize,
@@ -20,6 +23,7 @@ from mfgflow import (
     run_flow,
     solve_linear,
     solve_nonlinear,
+    solve_payoff,
     w1_distance_1d,
 )
 from mfgflow import elliptic
@@ -457,8 +461,15 @@ class TestChordNewton:
         assert 0 < len(factorizations) < len(solves)
 
     def test_far_warm_start_reaches_tolerance(self):
-        grid = make_grid(1, 300)
-        x = grid.axes[0]
+        self.check_far_warm_start(make_grid(1, 300))
+
+    def test_far_warm_start_reaches_tolerance_2d(self):
+        # a Jacobian factor, and with it a mixing history, exists in 2D only
+        self.check_far_warm_start(make_grid(2, 20))
+
+    @staticmethod
+    def check_far_warm_start(grid):
+        x = grid.coords()[0]
         model = ModelSpec.nonlinear(mu=0.1, K=4.0 * x)
         # a warm start from the payoff of a far density, with the
         # Jacobian factor of that density's solve still cached
@@ -472,13 +483,59 @@ class TestChordNewton:
         assert np.abs(theta.values - cold.values).max() <= 1e-6
 
     def test_cold_solve_ignores_the_cached_factor(self):
-        grid = make_grid(1, 200)
-        x = grid.axes[0]
+        self.check_cold_solve(make_grid(1, 200))
+
+    def test_cold_solve_ignores_the_cached_factor_2d(self):
+        self.check_cold_solve(make_grid(2, 20))
+
+    @staticmethod
+    def check_cold_solve(grid):
+        x = grid.coords()[0]
         model = ModelSpec.nonlinear(mu=0.1, K=4.0 * x)
         solve_nonlinear(model, normalize(np.exp(-50.0 * x), grid))
         m = uniform(grid)
         fresh = solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=4.0 * x), m)
         assert np.array_equal(solve_nonlinear(model, m).values, fresh.values)
+
+    @pytest.mark.parametrize(
+        "variant, plain_chord_steps",
+        # the Armijo steps these runs took with unmixed chord steps; with
+        # either kind of step they accept 15 / 14 flow steps
+        [("best_response", 204), ("eikonal", 203)],
+    )
+    def test_mixed_steps_descend_in_fewer_steps(self, monkeypatch, variant,
+                                                plain_chord_steps):
+        slopes = []
+        armijo_step = elliptic._armijo_step
+
+        def recording_step(theta, g, direction, w, *args):
+            slopes.append(np.sum(w * g * direction))
+            return armijo_step(theta, g, direction, w, *args)
+
+        monkeypatch.setattr(elliptic, "_armijo_step", recording_step)
+        grid = make_grid(2, 40)
+        preset = PRESETS["nonlinear-gauss2d"]
+        config = FlowConfig(variant=variant, eps0=preset.default_eps0)
+        assert run_flow(build_model(preset, grid), uniform(grid), config).converged
+        assert all(slope > 0.0 for slope in slopes)
+        assert 0 < len(slopes) < plain_chord_steps
+
+    @pytest.mark.parametrize(
+        "seed, peak",
+        enumerate([1.133, 1.607, 1.597, 1.207, 1.474, 5.230, 1.681, 2.524]),
+    )
+    def test_randcos2d_reaches_the_positive_branch(self, seed, peak):
+        # unmixed chord steps fell onto theta == 0 on seeds 0, 1, 3 and 5
+        # and exhausted max_iters on the others
+        grid = make_grid(2, 50)
+        model = build_model(PRESETS["nonlinear-randcos2d"], grid, seed=seed)
+        m = uniform(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TrivialBranchWarning)
+            theta = solve_payoff(model, m)
+        tol = model.mu * NonlinearSolveOptions().grad_tol / grid.spacing**grid.dim
+        assert pde_residual(model, m, theta) <= tol
+        assert abs(theta.values.max() - peak) <= 1e-2
 
     def test_residual_of_unsolved_model_does_not_factorize(self, factorizations):
         grid = make_grid(1, 200)
