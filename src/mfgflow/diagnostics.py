@@ -87,7 +87,6 @@ def refinement_study(
     m0: Density,
     eps0: float = 0.1,
     pairs: int = 6,
-    t_grid: np.ndarray | None = None,
     variant: str = "best_response",
     tau: float | None = None,
     max_outer: int = 100,
@@ -96,8 +95,9 @@ def refinement_study(
 
     Runs pairs+1 fixed-step flows at eps0 / 2^k, k = 0..pairs, and
     reports the sup-TV distance between each consecutive pair of
-    trajectories.  t_grid defaults to 100 uniform samples of the time
-    window covered by every level.
+    trajectories at 100 uniform samples (t_grid) of the time window
+    covered by every level.  Raises StudyError when a level stops with
+    termination "shortfall" or "solver_failed".
     """
     if pairs < 1:
         raise ValueError("need at least one consecutive pair")
@@ -117,16 +117,14 @@ def refinement_study(
         start = time.perf_counter()
         result = run_flow(model, m0, cfg)
         runtimes.append(time.perf_counter() - start)
-        if result.termination in ("step_failed", "solver_failed"):
-            # fixed steps allow overlap: a step fails only on a plateau shortfall
-            reason = "solver_failed" if result.termination == "solver_failed" else "shortfall"
-            raise StudyError(f"refinement level {k} (eps={eps!r}) stopped: {reason}", reason)
+        if result.termination in ("shortfall", "solver_failed"):
+            raise StudyError(
+                f"refinement level {k} (eps={eps!r}) stopped: {result.termination}",
+                result.termination,
+            )
         trajectories.append(result.densities)
-    if t_grid is None:
-        horizon = min(
-            eps * (len(traj) - 1) for eps, traj in zip(epsilons, trajectories)
-        )
-        t_grid = np.linspace(0.0, horizon, 100)
+    horizon = min(eps * (len(traj) - 1) for eps, traj in zip(epsilons, trajectories))
+    t_grid = np.linspace(0.0, horizon, 100)
     sup_tv = []
     for k in range(pairs):
         dist = 0.0
@@ -139,7 +137,7 @@ def refinement_study(
         eps0=eps0,
         epsilons=epsilons,
         sup_tv=sup_tv,
-        t_grid=np.asarray(t_grid),
+        t_grid=t_grid,
         runtimes=runtimes,
     )
 
@@ -152,8 +150,8 @@ def stress_test(model: ModelSpec, grid, cfg: FlowConfig, seeds) -> list[StressRo
     """
     rows = []
     for seed in seeds:
+        m0 = random_density(seed, grid)
         for variant in ("best_response", "eikonal"):
-            m0 = random_density(seed, grid)
             result = run_flow(model, m0, replace(cfg, variant=variant))
             rows.append(
                 StressRow(

@@ -78,15 +78,12 @@ class NonlinearSolveOptions:
 
     grad_tol: float = 1e-8
     max_iters: int = 50
-    init_floor: float = 1e-3
 
     def __post_init__(self):
         if self.grad_tol <= 0.0:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.init_floor <= 0.0:
-            raise ValueError("init_floor must be positive")
 
 
 @dataclass
@@ -169,6 +166,9 @@ def neumann_laplacian(grid: Grid) -> sp.csr_matrix:
 # A chord-Newton step that cuts max |g| by less than this factor
 # triggers a refactorization of the Jacobian at the next iterate.
 CHORD_CONTRACTION = 2.0
+
+# Positive floor of a nonlinear solve's cold start (see solve_nonlinear).
+INIT_FLOOR = 1e-3
 
 # Accepted normwise backward error of a linear solve, in units of the
 # unit roundoff.  Correct solves of every preset measure at most 5.7 in
@@ -320,7 +320,7 @@ def solve_nonlinear(
     increment passes the Armijo test; the raw gradient is tried when the
     Newton direction fails it.
 
-    Initialization is max(K - m, init_floor) unless theta0 (a warm
+    Initialization is max(K - m, INIT_FLOOR) unless theta0 (a warm
     start) is supplied; the positive start and the energy test steer
     the iteration away from the trivial critical point theta == 0.  A
     warm start that collapses onto it is retried from the cold start.
@@ -413,9 +413,9 @@ def solve_nonlinear(
             residual=float(np.abs(strong_grad(theta)).max()),
         )
 
-    collapsed = 10.0 * opts.init_floor
-    cold = np.maximum(K - m_vals, opts.init_floor)
-    warm = theta0 is not None and theta0.values.max() > opts.init_floor
+    collapsed = 10.0 * INIT_FLOOR
+    cold = np.maximum(K - m_vals, INIT_FLOOR)
+    warm = theta0 is not None and theta0.values.max() > INIT_FLOOR
     theta = descend(np.maximum(theta0.values, 0.0) if warm else cold, cold=not warm)
     if theta.max() <= collapsed and warm:
         theta = descend(cold, cold=True)  # the warm start collapsed; retry cold

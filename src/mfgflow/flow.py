@@ -9,6 +9,12 @@ TV proximal scheme.  The step size epsilon is halved until the Nash-gap
 residual strictly decreases; epsilon resets to eps0 after every
 accepted step.
 
+The eikonal target level lies TARGET_GAP_FRACTION of the Nash gap below
+the top income, above the poorest supported node, so the distance
+selection finds mass off the target.  Only a gap of a few ulp lets the
+target swallow the support; every supported distance then ties at zero
+and the income tiebreak takes the best-response slice.
+
 Within one outer iteration theta, the distance field and the model stay
 fixed across every halving, so the iterate's first trial builds a cut
 of it that every later trial reuses.  The cut keeps orders and sums:
@@ -222,22 +228,15 @@ class _Cut:
 
     selection: _Selection
     plateau: _Plateau
-    reach: float | None  # _reach(m, v) when selecting by distance v
-
-
-def _reach(m, v) -> float:
-    """The largest distance v at which m carries mass (0 when none)."""
-    return float(v.values[m.values > 0.0].max(initial=0.0))
 
 
 def _cut(m, theta, v, model) -> _Cut:
     """The cut of an iterate: selection by income, or by distance v."""
     if v is None:
-        selection, reach = _selection(m, theta, descending=False), None
+        selection = _selection(m, theta, descending=False)
     else:
         selection = _selection(m, v, descending=True, tiebreak=theta)
-        reach = _reach(m, v)
-    return _Cut(selection, _plateau(theta, model), reach)
+    return _Cut(selection, _plateau(theta, model))
 
 
 def _reused(part, *sources):
@@ -286,8 +285,9 @@ def select_farthest(m: ScalarField, v: ScalarField, eps: float, income=None, cut
     field is supplied, equally far nodes are taken poorest-first, which
     is the tiebreak the flow uses.  Returns (m_minus, m_plus, eta) as
     select_lowest_income does, and takes the flow's cut the same way.
-    Raises ValueError when no mass sits at positive distance (the
-    density already lives on the target).
+    Called without a cut, raises ValueError when no mass sits at
+    positive distance (the density already lives on the target); the
+    flow's selection needs no such check (see the module docstring).
     """
     if income is None:
         grid_of(m, v)
@@ -296,12 +296,11 @@ def select_farthest(m: ScalarField, v: ScalarField, eps: float, income=None, cut
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if cut is None:
+        if not np.any(v.values[m.values > 0.0] > 0.0):
+            raise ValueError("all mass already sits on the target set")
         selection = _selection(m, v, descending=True, tiebreak=income)
-        reach = _reach(m, v)
     else:
-        selection, reach = _reused(cut.selection, m, v, income), cut.reach
-    if reach <= 0.0:
-        raise ValueError("all mass already sits on the target set")
+        selection = _reused(cut.selection, m, v, income)
     return _split(selection, eps)
 
 
@@ -404,16 +403,17 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
 
     Adaptive mode (fixed_eps unset) accepts a step only when the
     residual strictly decreases, halving eps otherwise; eps restarts at
-    eps0 after each acceptance.  The run stops when the tolerance is
-    met, the outer cap is hit, eps is exhausted, the selection comes up
-    empty (everything already on the target), or a payoff solve fails
-    after the first.  With fixed_eps every computable step is taken
-    as-is, which reproduces the oscillatory non-convergent regime of
-    large fixed steps.
+    eps0 after each acceptance.  With fixed_eps every computable step
+    is taken as-is, which reproduces the oscillatory non-convergent
+    regime of large fixed steps.
 
-    Non-convergence is a reported outcome (converged=False plus a
-    termination reason), not an exception; only a failure of the
-    initial payoff solve raises SolverError.
+    The termination reason is one of "converged" (the residual met
+    tau), "max_outer" (the outer cap was hit), "eps_exhausted" (eps
+    fell below eps_min without lowering the residual), "shortfall" (the
+    plateau cannot absorb a fixed step) or "solver_failed" (a payoff
+    solve after the first failed).  Non-convergence is a reported
+    outcome (converged=False plus that reason), not an exception; only
+    a failure of the initial payoff solve raises SolverError.
     """
     grid = density_grid(m0)
     tau = cfg.tau if cfg.tau is not None else grid.spacing
@@ -455,9 +455,6 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
             if cfg.variant == "eikonal":
                 v = _distance_field(grid, theta, resid)
             cut = _cut(m, theta, v, model)
-            if v is not None and cut.reach <= 0.0:
-                termination = "empty_selection"
-                break
         trial = _trial(m, theta, v, model, eps, not adaptive, cut)
         if trial == "solver_failed":
             termination = trial
@@ -468,7 +465,7 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
             record(eps, tv_distance(m, m_prev), halvings)
             eps, halvings = eps_start, 0
         elif not adaptive:
-            termination = "step_failed"
+            termination = trial  # fixed steps allow overlap: "shortfall"
         else:
             eps /= 2.0
             halvings += 1

@@ -130,13 +130,11 @@ def w1_distance_1d(m1: ScalarField, m2: ScalarField) -> float:
     return integrate(np.abs(cdf), grid)
 
 
-def support(m: ScalarField, rel_threshold: float = SUPPORT_THRESHOLD) -> np.ndarray:
-    """Boolean mask of nodes carrying mass above rel_threshold * max(m)."""
+def support(m: ScalarField) -> np.ndarray:
+    """Boolean mask of nodes carrying mass above SUPPORT_THRESHOLD * max(m)."""
     grid_of(m)
-    if not 0.0 <= rel_threshold < 1.0:
-        raise ValueError("rel_threshold must lie in [0, 1)")
     vals = m.values
-    return vals > rel_threshold * vals.max()
+    return vals > SUPPORT_THRESHOLD * vals.max()
 
 
 def seeded_draw(seed: int, draw, what: str):

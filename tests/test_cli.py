@@ -302,6 +302,17 @@ def test_refine_shortfall_exit_2(tmp_path, capsys):
     assert "level 0 (eps=0.5) stopped: shortfall" in capsys.readouterr().err
 
 
+def test_fixed_step_shortfall_exit_2(tmp_path, capsys):
+    # the step 0.5 exceeds what the 2D plateau can absorb from the start
+    code = main(
+        ["solve", "--preset", "linear-gauss2d", "--grid", "40", "--fixed-eps", "0.5",
+         "--out", str(tmp_path)]
+    )
+    assert code == EXIT_NOT_CONVERGED
+    out = capsys.readouterr().out
+    assert "iterations=0 " in out and "termination=shortfall" in out
+
+
 def test_refine_solver_failure_exit_4(tmp_path, capsys, fail_payoff_solve):
     fail_payoff_solve(3)
     code = main(

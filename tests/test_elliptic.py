@@ -129,8 +129,6 @@ class TestModelSpec:
             NonlinearSolveOptions(grad_tol=0.0)
         with pytest.raises(ValueError):
             NonlinearSolveOptions(max_iters=0)
-        with pytest.raises(ValueError):
-            NonlinearSolveOptions(init_floor=-1.0)
 
 
 class TestLinearSolve:

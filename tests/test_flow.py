@@ -144,13 +144,32 @@ class TestSelectFarthest:
         with pytest.raises(ValueError, match="already sits on the target set"):
             select_farthest(uniform, v, 0.1)
 
-    def test_zero_distance_is_empty_with_a_cut(self, grid, uniform):
-        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
-        theta = solve_payoff(model, uniform)
-        v = field(grid, np.zeros(grid.shape))
-        cut = flow._cut(uniform, theta, v, model)
+    def test_one_ulp_gap_takes_the_poorest_with_a_cut(self):
+        # a gap of one ulp puts the whole support on the eikonal target;
+        # every distance ties at zero and the income tiebreak takes the
+        # best-response slice, all of it from the one poorer node
+        grid = make_grid(1, 100)
+        theta = np.full(grid.shape, 30.68)
+        theta[10] = np.nextafter(30.68, 0.0)
+        theta[50:] = 25.68
+        theta = field(grid, theta)
+        m = np.zeros(grid.shape)
+        m[5:15] = 1.0
+        m = normalize(m, grid)
+        gap = nash_gap(theta, m)
+        assert gap == 30.68 - np.nextafter(30.68, 0.0)
+        v = flow._distance_field(grid, theta, gap)
+        assert not v.values[m.values > 0.0].any()
         with pytest.raises(ValueError, match="already sits on the target set"):
-            select_farthest(uniform, v, 0.1, income=theta, cut=cut)
+            select_farthest(m, v, 0.01, income=theta)
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
+        cut = flow._cut(m, theta, v, model)
+        far_minus, far_plus, _ = select_farthest(m, v, 0.01, income=theta, cut=cut)
+        low_minus, low_plus, _ = select_lowest_income(m, theta, 0.01)
+        assert np.flatnonzero(far_minus.values).tolist() == [10]
+        assert integrate(far_minus.values, grid) == pytest.approx(0.01, abs=1e-15)
+        assert np.array_equal(far_minus.values, low_minus.values)
+        assert np.array_equal(far_plus.values, low_plus.values)
 
     def test_two_target_midpoint_band(self, grid, uniform):
         x = grid.axes[0]
@@ -311,14 +330,34 @@ class TestRunFlow:
         assert result.termination == "max_outer"
         assert result.iterations == 5
 
-    def test_mass_on_the_target_ends_an_eikonal_run(self, grid, uniform, monkeypatch):
+    @pytest.mark.parametrize(
+        "preset", ["linear-4x", "linear-sin", "linear-cos", "nonlinear-sin"]
+    )
+    def test_all_mass_on_the_target_runs_the_best_response_flow(
+        self, grid, uniform, monkeypatch, preset
+    ):
+        # with every distance zero, the income tiebreak alone orders the
+        # eikonal selection, which is then the best-response one
+        model = build_model(PRESETS[preset], grid)
+        expected = run_flow(model, uniform, FlowConfig())
         monkeypatch.setattr(
             flow, "_distance_field", lambda grid, theta, resid: field(grid, np.zeros(grid.shape))
         )
-        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
         result = run_flow(model, uniform, FlowConfig(variant="eikonal"))
-        assert result.termination == "empty_selection"
-        assert result.iterations == 0 and not result.converged
+        assert result.converged and result.termination == "converged"
+        assert result.records == expected.records
+        assert np.array_equal(result.m.values, expected.m.values)
+
+    @pytest.mark.parametrize("variant", ["best_response", "eikonal"])
+    @pytest.mark.parametrize("offset", [-5e-11, 5e-11])
+    def test_start_off_unit_mass_is_renormalized(self, grid, uniform, variant, offset):
+        model = build_model(PRESETS["linear-4x"], grid)
+        m0 = Density(np.ones(grid.shape) * (1.0 + offset), grid)
+        result = run_flow(model, m0, FlowConfig(variant=variant, keep_trajectory=True))
+        for m_vals in result.densities[1:]:
+            assert abs(integrate(m_vals, grid) - 1.0) <= 1e-14
+        assert result.converged
+        assert result.iterations == run_flow(model, uniform, FlowConfig(variant=variant)).iterations
 
     def test_solver_failure_mid_flow_is_reported(self, fail_payoff_solve):
         grid = make_grid(1, 200)

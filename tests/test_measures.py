@@ -164,11 +164,6 @@ class TestSupport:
         mask = support(m)
         assert np.array_equal(mask, m.values > 0)
 
-    def test_threshold_validation(self, grid):
-        m = normalize(np.ones(grid.shape), grid)
-        with pytest.raises(ValueError):
-            support(m, rel_threshold=1.0)
-
 
 class TestRandomDensity:
     def test_deterministic(self, grid):

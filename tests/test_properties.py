@@ -1,4 +1,4 @@
-"""Property tests of the flow on random 1D linear models and densities.
+"""Property tests of the flow on random linear models and densities.
 
 Hypothesis runs derandomized and without its example database, so the
 suite stays deterministic.
@@ -17,14 +17,17 @@ from mfgflow import (
     ModelSpec,
     ScalarField,
     TargetSet,
+    flow,
     flow_step,
     integrate,
     make_grid,
+    nash_gap,
     normalize,
     run_flow,
     select_farthest,
     select_lowest_income,
     solve_eikonal,
+    support,
     tv_distance,
 )
 
@@ -133,3 +136,28 @@ def test_select_farthest_splits_m(case, data):
     # distance ties are common on a grid; the income field breaks them
     m_minus, m_plus, _ = select_farthest(m, v, eps, income=income)
     _check_split(grid, m, m_minus, m_plus, eps)
+
+
+@st.composite
+def incomes(draw, grid):
+    """Incomes on a few levels, spaced from one ulp of the base upward."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.floats(0.1, 100.0))
+    step = np.spacing(base) * draw(st.sampled_from([1.0, 2.0, 3.0, 1e3, 1e10, 1e14]))
+    levels = rng.integers(0, draw(st.integers(2, 20)), grid.shape)
+    return ScalarField(base + step * levels, grid)
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(st.sampled_from([1, 2]), st.data())
+def test_eikonal_target_leaves_the_poorest_supported_node_off(dim, data):
+    # the target level lies 0.7 of the gap above the poorest supported
+    # node, so the eikonal selection finds mass at positive distance
+    grid = make_grid(dim, data.draw(st.integers(4, 200 if dim == 1 else 15)))
+    m = data.draw(densities(grid))
+    theta = data.draw(incomes(grid))
+    gap = nash_gap(theta, m)
+    assume(gap > 2 * np.spacing(theta.values.max()))
+    poorest = np.where(support(m), theta.values, np.inf).argmin()
+    v = flow._distance_field(grid, theta, gap)
+    assert v.values.ravel()[poorest] > 0.0
