@@ -29,7 +29,6 @@ from .flow import (
     FlowResult,
     IterationRecord,
     RedistributionShortfallError,
-    flow_step,
     nash_gap,
     redistribute,
     run_flow,
@@ -69,7 +68,6 @@ __all__ = [
     "build_model",
     "evaluate_expression",
     "extract_target",
-    "flow_step",
     "functional_trace",
     "integrate",
     "make_grid",

@@ -27,11 +27,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import diagnostics
-from .elliptic import ModelSpec, SolverError
+from .elliptic import SolverError
 from .flow import FlowConfig, _distance_field, run_flow
 from .grid import make_grid
 from .measures import Density, normalize
-from .presets import PRESETS, build_model, evaluate_expression
+from .presets import PRESETS, Preset, build_model
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -199,39 +199,29 @@ def _resolve(args: argparse.Namespace) -> SimpleNamespace:
 def _materialize(rc: SimpleNamespace):
     """Build (grid, model, flow config, metadata) from resolved run inputs.
 
-    Every ValueError raised while building them is reported as a
-    ConfigError.
+    A config file's model keys form a Preset named after its kind, so
+    both routes build their model with build_model.  Every ValueError
+    raised while building them is reported as a ConfigError.
     """
     try:
         if rc.preset is not None:
             preset = PRESETS[rc.preset]
-            dim = rc.dim if rc.dim is not None else preset.dim
-            if dim != preset.dim:
+            if rc.dim is not None and rc.dim != preset.dim:
                 raise ConfigError(f"preset {rc.preset!r} is {preset.dim}D")
-            grid = make_grid(dim, rc.n)
-            model = build_model(preset, grid, seed=rc.seed, mu=rc.mu)
-            eps0 = rc.eps0 if rc.eps0 is not None else preset.default_eps0
-            label = preset.name
         else:
             if rc.kind is None:
                 raise ConfigError("need --preset, or kind = linear|nonlinear in the config")
             if rc.dim is None:
                 raise ConfigError("expression-built models need dim")
-            grid = make_grid(rc.dim, rc.n)
-            if rc.kind == "linear":
-                if rc.f is None or rc.P is None:
-                    raise ConfigError("linear models need f and P expressions")
-                model = ModelSpec.linear(
-                    mu=rc.mu,
-                    P=evaluate_expression(rc.P, grid),
-                    f=evaluate_expression(rc.f, grid),
-                )
-            else:
-                if rc.K is None:
-                    raise ConfigError("nonlinear models need a K expression")
-                model = ModelSpec.nonlinear(mu=rc.mu, K=evaluate_expression(rc.K, grid))
-            eps0 = rc.eps0 if rc.eps0 is not None else 0.1
-            label = rc.kind
+            if rc.kind == "linear" and (rc.f is None or rc.P is None):
+                raise ConfigError("linear models need f and P expressions")
+            if rc.kind == "nonlinear" and rc.K is None:
+                raise ConfigError("nonlinear models need a K expression")
+            coefficient = rc.f if rc.kind == "linear" else rc.K
+            preset = Preset(rc.kind, rc.kind, rc.dim, coefficient, P=rc.P)
+        grid = make_grid(preset.dim, rc.n)
+        model = build_model(preset, grid, seed=rc.seed, mu=rc.mu)
+        eps0 = rc.eps0 if rc.eps0 is not None else preset.default_eps0
         flow_cfg = FlowConfig(
             variant=rc.variant.replace("-", "_"),
             eps0=eps0,
@@ -242,7 +232,7 @@ def _materialize(rc: SimpleNamespace):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return grid, model, flow_cfg, label
+    return grid, model, flow_cfg, preset.name
 
 
 def _uniform_density(grid) -> Density:

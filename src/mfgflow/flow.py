@@ -374,30 +374,6 @@ def _trial(m, theta, v, model, eps, allow_overlap, cut):
     return m_new, theta_new, nash_gap(theta_new, m_new)
 
 
-def flow_step(m: Density, model: ModelSpec, eps: float, variant: str = "best_response"):
-    """A single move from m with step mass eps.
-
-    Solves for theta, selects by income or distance, redistributes onto
-    the plateau and re-solves.  A density whose support already lies on
-    the argmax of its payoff (zero gap) is returned unchanged.
-    Returns (m_next, theta_next, residual); raises RuntimeError naming
-    the reason when the move is rejected.
-    """
-    grid = density_grid(m)
-    theta = solve_payoff(model, m)
-    gap = nash_gap(theta, m)
-    # roundoff-floor recognizer: a flat payoff over the support means
-    # the density is already a discrete fixed point
-    if gap <= 1e-11 * (1.0 + abs(theta.values.max())):
-        return m, theta, gap
-    v = _distance_field(grid, theta, gap) if variant == "eikonal" else None
-    trial = _trial(m, theta, v, model, eps, True, _cut(m, theta, v, model))
-    if isinstance(trial, str):
-        raise RuntimeError(f"step of mass {eps!r} rejected: {trial}")
-    m_new, theta_new, r_new = trial
-    return Density(np.maximum(m_new.values, 0.0), grid), theta_new, r_new
-
-
 def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
     """Iterate the flow until the Nash gap falls below tau.
 
@@ -405,7 +381,8 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
     residual strictly decreases, halving eps otherwise; eps restarts at
     eps0 after each acceptance.  With fixed_eps every computable step
     is taken as-is, which reproduces the oscillatory non-convergent
-    regime of large fixed steps.
+    regime of large fixed steps.  A single move of mass eps is the run
+    with eps0 = fixed_eps = eps and max_outer = 1.
 
     The termination reason is one of "converged" (the residual met
     tau), "max_outer" (the outer cap was hit), "eps_exhausted" (eps

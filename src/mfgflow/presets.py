@@ -88,13 +88,15 @@ def evaluate_expression(expr: str, grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Preset:
-    """A named payoff configuration from the benchmark suite."""
+    """A named payoff configuration: the model kind, its dimension and
+    its coefficients as expressions, built on a grid by build_model.
+    The model keys of a config file form a Preset named after its kind."""
 
     name: str
     kind: str  # linear | nonlinear
     dim: int
     coefficient: str | None  # expression for f (linear) or K (nonlinear)
-    P: float | None = None  # linear only
+    P: str | None = None  # expression, linear only
     default_eps0: float = 0.1
     random_cosine: bool = False  # coefficient drawn from a seeded cosine sum
 
@@ -102,20 +104,20 @@ class Preset:
 _GAUSS2D = "5*exp(-((x-1)*(x-1)+(y-1)*(y-1))/0.5)"
 
 PRESETS = {
-    "linear-4x": Preset("linear-4x", "linear", 1, "4*x", P=0.5),
-    "linear-sin": Preset("linear-sin", "linear", 1, "max(0, 9*x*sin(5*pi*x))", P=0.5),
-    "linear-cos": Preset("linear-cos", "linear", 1, "15*(cos(2*pi*x)+1)", P=0.5),
+    "linear-4x": Preset("linear-4x", "linear", 1, "4*x", P="0.5"),
+    "linear-sin": Preset("linear-sin", "linear", 1, "max(0, 9*x*sin(5*pi*x))", P="0.5"),
+    "linear-cos": Preset("linear-cos", "linear", 1, "15*(cos(2*pi*x)+1)", P="0.5"),
     "nonlinear-4x": Preset("nonlinear-4x", "nonlinear", 1, "4*x"),
     "nonlinear-sin": Preset("nonlinear-sin", "nonlinear", 1, "max(0, 9*x*sin(5*pi*x))"),
     "nonlinear-cos": Preset("nonlinear-cos", "nonlinear", 1, "15*(cos(2*pi*x)+1)"),
     "linear-gauss2d": Preset(
-        "linear-gauss2d", "linear", 2, _GAUSS2D, P=1.0, default_eps0=0.5
+        "linear-gauss2d", "linear", 2, _GAUSS2D, P="1", default_eps0=0.5
     ),
     "nonlinear-gauss2d": Preset(
         "nonlinear-gauss2d", "nonlinear", 2, _GAUSS2D, default_eps0=0.25
     ),
     "linear-randcos2d": Preset(
-        "linear-randcos2d", "linear", 2, None, P=1.0, default_eps0=0.5,
+        "linear-randcos2d", "linear", 2, None, P="1", default_eps0=0.5,
         random_cosine=True,
     ),
     "nonlinear-randcos2d": Preset(
@@ -148,7 +150,12 @@ def random_cosine_sum(seed: int, grid: Grid) -> np.ndarray:
 
 
 def build_model(preset: Preset, grid: Grid, seed: int = 0, mu: float = 0.1) -> ModelSpec:
-    """Instantiate the payoff model of a preset on a grid."""
+    """Instantiate the payoff model of a preset on a grid.
+
+    The coefficient expressions are evaluated on the grid's nodes (a
+    random-cosine preset draws its coefficient from seed), so every
+    coefficient of the model is an array.
+    """
     if grid.dim != preset.dim:
         raise ValueError(
             f"preset {preset.name!r} is {preset.dim}D but the grid is {grid.dim}D"
@@ -158,5 +165,5 @@ def build_model(preset: Preset, grid: Grid, seed: int = 0, mu: float = 0.1) -> M
     else:
         coef = evaluate_expression(preset.coefficient, grid)
     if preset.kind == "linear":
-        return ModelSpec.linear(mu=mu, P=preset.P, f=coef)
+        return ModelSpec.linear(mu=mu, P=evaluate_expression(preset.P, grid), f=coef)
     return ModelSpec.nonlinear(mu=mu, K=coef)

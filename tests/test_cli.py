@@ -1,5 +1,6 @@
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +145,24 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert code == EXIT_OK
     _, rows = read_csv(out2 / "density.csv")
     assert len(rows) == 121
+
+
+def test_readme_config_is_the_linear_sin_preset(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    outs = tmp_path / "config", tmp_path / "preset"
+    assert main(["solve", "--config", str(cfg), "--out", str(outs[0])]) == EXIT_OK
+    assert main(["solve", "--preset", "linear-sin", "--out", str(outs[1])]) == EXIT_OK
+    summaries = capsys.readouterr().out.splitlines()
+    assert summaries[0] == summaries[1]
+    assert "converged=true iterations=18 " in summaries[0]
+    config, preset = ((out / "iterations.csv").read_bytes() for out in outs)
+    assert config == preset
+    config, preset = ((out / "density.csv").read_text().splitlines() for out in outs)
+    changed = [(a, b) for a, b in zip(config, preset) if a != b]
+    assert len(config) == len(preset)
+    assert changed == [("# preset=linear", "# preset=linear-sin")]
 
 
 def test_environment_overrides(tmp_path, monkeypatch, capsys):

@@ -330,6 +330,33 @@ class TestNonlinearSolve:
         warm = solve_nonlinear(model, m, theta0=cold)
         assert np.abs(cold.values - warm.values).max() <= 1e-5
 
+    def test_collapsed_warm_start_is_retried_cold(self, monkeypatch):
+        grid = make_grid(1, 200)
+        x = grid.axes[0]
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * x)
+        m = uniform(grid)
+        # just above the floor that makes a start warm, on x < 0.1 only:
+        # the warm descent falls onto theta == 0
+        theta0 = ScalarField(np.where(x < 0.1, 2e-3, 0.0), grid)
+        cold = solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=4.0 * x), m)
+        iterates = []
+        armijo_step = elliptic._armijo_step
+
+        def recording_step(theta, *args):
+            iterates.append(theta.copy())
+            return armijo_step(theta, *args)
+
+        monkeypatch.setattr(elliptic, "_armijo_step", recording_step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TrivialBranchWarning)
+            theta = solve_nonlinear(model, m, theta0=theta0)
+        cold_start = np.maximum(model.K - m.values, elliptic.INIT_FLOOR)
+        restart = next(i for i, it in enumerate(iterates) if np.array_equal(it, cold_start))
+        assert restart > 0 and np.array_equal(iterates[0], theta0.values)
+        assert max(it.max() for it in iterates[1:restart]) <= 10.0 * elliptic.INIT_FLOOR
+        assert np.array_equal(theta.values, cold.values)
+        assert theta.values.max() == pytest.approx(2.18492, abs=1e-5)
+
     def test_descent_failures_raise(self):
         grid = make_grid(1, 100)
         model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.axes[0])
@@ -494,6 +521,19 @@ class TestChordNewton:
         m = uniform(grid)
         fresh = solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=4.0 * x), m)
         assert np.array_equal(solve_nonlinear(model, m).values, fresh.values)
+
+    def test_mixed_step_falls_back_to_the_chord_step(self):
+        theta, theta_prev = np.array([1.0, 2.0]), np.zeros(2)
+        step = np.array([0.5, -0.25])
+        # the step did not change since the previous iterate: no secant
+        assert elliptic._mixed_step(theta, step, theta_prev, step.copy()) is step
+        # with step_prev = 0 the mixed step is theta itself, here not finite
+        theta = np.array([np.inf, 2.0])
+        assert elliptic._mixed_step(theta, step, theta_prev, np.zeros(2)) is step
+
+    def test_singular_factorization_raises(self):
+        with pytest.raises(SolverError, match="payoff operator is singular"):
+            elliptic._factorize(sp.csc_matrix(np.ones((2, 2))))
 
     @pytest.mark.parametrize(
         "variant, plain_chord_steps",

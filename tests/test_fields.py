@@ -16,7 +16,6 @@ from mfgflow import (
     ModelSpec,
     ScalarField,
     extract_target,
-    flow_step,
     integrate,
     make_grid,
     nash_certificate,
@@ -62,7 +61,6 @@ BARE_CALLS = {
     "select_farthest_income": lambda: select_farthest(M, V, 0.1, income=BARE),
     "redistribute": lambda: redistribute(BARE, THETA, LINEAR, 0.1),
     "extract_target": lambda: extract_target(BARE),
-    "flow_step": lambda: flow_step(BARE, LINEAR, 0.1),
     "run_flow": lambda: run_flow(LINEAR, BARE, FlowConfig()),
     "refinement_study": lambda: refinement_study(LINEAR, BARE, pairs=1),
 }
@@ -112,7 +110,6 @@ def test_selection_returns_fields_on_the_grid_of_m():
 START = ScalarField(2.0 * np.ones(GRID.shape), GRID)  # mass 2, not a Density
 
 START_CALLS = {
-    "flow_step": lambda: flow_step(START, LINEAR, 0.1),
     "run_flow": lambda: run_flow(LINEAR, START, FlowConfig()),
     "refinement_study": lambda: refinement_study(LINEAR, START, pairs=1),
 }

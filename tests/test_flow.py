@@ -11,11 +11,11 @@ from mfgflow import (
     SolverError,
     build_model,
     flow,
-    flow_step,
     integrate,
     make_grid,
     nash_gap,
     normalize,
+    random_density,
     redistribute,
     run_flow,
     select_farthest,
@@ -231,13 +231,21 @@ class TestRedistribute:
             redistribute(field(grid, np.zeros(grid.shape)), theta, model, 1.5)
 
 
+def one_move(model, m, eps, variant="best_response"):
+    """A single flow move of mass eps: one fixed step of run_flow."""
+    cfg = FlowConfig(variant=variant, eps0=eps, fixed_eps=eps, max_outer=1)
+    return run_flow(model, m, cfg)
+
+
 class TestFlowStep:
     def test_fixed_point_returned_unchanged(self, grid, uniform):
-        # constant setup: theta = (f - m)/P is flat up to solver roundoff
+        # constant setup: theta = (f - m)/P is flat up to solver roundoff,
+        # a gap far below the default tolerance tau = dx
         model = ModelSpec.linear(mu=0.1, P=0.5, f=2.0)
-        m_next, _, gap = flow_step(uniform, model, 0.1)
-        assert gap <= 1e-10
-        assert m_next is uniform
+        result = one_move(model, uniform, 0.1)
+        assert result.final_residual <= grid.spacing
+        assert result.termination == "converged" and result.iterations == 0
+        assert np.array_equal(result.m.values, uniform.values)
 
     def test_tv_step_bounded_by_two_eps(self, grid):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=2.0 + np.sin(np.pi * grid.axes[0]))
@@ -245,21 +253,24 @@ class TestFlowStep:
         for _ in range(5):
             m = normalize(rng.uniform(0.2, 1.0, grid.shape), grid)
             eps = float(rng.uniform(0.01, 0.3))
-            m_next, _, _ = flow_step(m, model, eps)
-            assert tv_distance(m_next, m) <= 2 * eps + 1e-9
+            result = one_move(model, m, eps)
+            assert result.iterations == 1
+            assert result.records[1].tv_step <= 2 * eps + 1e-9
+            assert tv_distance(result.m, m) <= 2 * eps + 1e-9
 
     def test_variants_agree_for_increasing_source(self, grid, uniform):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
-        m_br, _, _ = flow_step(uniform, model, 0.1, variant="best_response")
-        m_eik, _, _ = flow_step(uniform, model, 0.1, variant="eikonal")
-        assert tv_distance(m_br, m_eik) <= 1e-9
+        m_br = one_move(model, uniform, 0.1, variant="best_response").m
+        m_eik = one_move(model, uniform, 0.1, variant="eikonal").m
+        assert tv_distance(m_br, m_eik) == 0.0
 
     def test_rejected_move_names_its_reason(self, grid, uniform):
         # the plateau of f = 4x above the uniform density's payoff holds
         # about 0.26 of mass, less than the requested 0.3
         model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
-        with pytest.raises(RuntimeError, match="rejected: shortfall"):
-            flow_step(uniform, model, 0.3)
+        result = one_move(model, uniform, 0.3)
+        assert result.termination == "shortfall" and result.iterations == 0
+        assert not result.converged
 
 
 class TestRunFlow:
@@ -293,6 +304,18 @@ class TestRunFlow:
         assert result.converged
         assert 5 <= result.iterations <= 50
         assert result.final_residual <= grid.spacing
+
+    def test_stalled_eikonal_run_ends_eps_exhausted(self, grid):
+        # a random start on linear-sin (a stress-1d row): the eikonal flow
+        # stalls at 3.3 tau, where no step down to eps_min lowers the gap
+        model = build_model(PRESETS["linear-sin"], grid)
+        m0 = random_density(9, grid)
+        result = run_flow(model, m0, FlowConfig(variant="eikonal"))
+        assert result.termination == "eps_exhausted" and not result.converged
+        assert result.iterations == 29
+        assert result.final_residual == pytest.approx(3.292989667965651e-3, rel=1e-9)
+        best = run_flow(model, m0, FlowConfig())
+        assert best.converged and best.iterations == 18
 
     def test_invariants_along_run(self, grid, uniform):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])

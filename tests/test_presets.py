@@ -5,6 +5,7 @@ from mfgflow import make_grid
 from mfgflow.presets import (
     PRESETS,
     ExpressionError,
+    Preset,
     build_model,
     evaluate_expression,
     random_cosine_sum,
@@ -66,6 +67,13 @@ class TestPresets:
             model = build_model(preset, grid, seed=3)
             assert model.kind == preset.kind
             assert model.mu == 0.1
+
+    def test_every_coefficient_is_an_evaluated_expression(self, grid):
+        x = grid.axes[0]
+        model = build_model(Preset("linear", "linear", 1, "4*x", P="0.5 + x"), grid)
+        assert np.array_equal(model.P, 0.5 + x)
+        assert np.array_equal(model.f, 4 * x)
+        assert np.array_equal(build_model(PRESETS["linear-4x"], grid).P, np.full(101, 0.5))
 
     def test_dim_mismatch_rejected(self, grid):
         with pytest.raises(ValueError):

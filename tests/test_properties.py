@@ -18,7 +18,6 @@ from mfgflow import (
     ScalarField,
     TargetSet,
     flow,
-    flow_step,
     integrate,
     make_grid,
     nash_gap,
@@ -77,13 +76,14 @@ def model_density_eps(draw):
 @settings(max_examples=60, **SETTINGS)
 @given(model_density_eps(), st.sampled_from(["best_response", "eikonal"]))
 def test_flow_step_keeps_mass_sign_and_tv_bound(case, variant):
+    # one fixed step of run_flow; a tau below any gap lets every start move
     grid, model, m, eps = case
-    try:
-        m_next, _, _ = flow_step(m, model, eps, variant=variant)
-    except RuntimeError as exc:
-        # the plateau cannot absorb eps: no move to check
-        assume("rejected: shortfall" not in str(exc))
-        raise
+    cfg = FlowConfig(variant=variant, eps0=eps, fixed_eps=eps, max_outer=1, tau=1e-300)
+    result = run_flow(model, m, cfg)
+    # the plateau cannot absorb eps: no move to check
+    assume(result.termination != "shortfall")
+    assert result.iterations == 1
+    m_next = result.m
     assert abs(integrate(m_next.values, grid) - 1.0) <= 1e-9
     assert m_next.values.min() >= 0.0
     assert tv_distance(m_next, m) <= 2 * eps + 1e-9
