@@ -27,14 +27,15 @@ K must be positive somewhere; otherwise theta == 0 is the only solution
 and the model is rejected.
 
 The operators a model needs on one grid (-Lap; in 1D, the three bands
-of the linear system or of -Lap; the factorized linear system and its
-source f; or the latest factorized 2D Jacobian) are built once per
-model and grid and cached on the model.
+of the linear system or of -Lap; the factorized linear system; the
+coefficients P and f, or K, on the grid; or the latest factorized 2D
+Jacobian) are built once per model and grid and cached on the model.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
@@ -176,6 +177,7 @@ INIT_FLOOR = 1e-3
 # n = 1e3 / 1e4 / 1e5 / 1e6 (three linear presets, uniform and two
 # random densities).
 BACKWARD_ERROR_FACTOR = 64.0
+_BACKWARD_ERROR_UNIT = BACKWARD_ERROR_FACTOR * np.finfo(float).eps / 2.0
 
 
 @dataclass
@@ -187,7 +189,10 @@ class _Operators:
     # model) or of lap (harvesting model); None in 2D
     bands: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     system: sp.csc_matrix | None  # mu (-Lap) + diag(P); None for the harvesting model
-    f: np.ndarray | None  # the linear model's source on the grid
+    # the model's coefficients on the grid (P and f linear, K harvesting)
+    P: np.ndarray | None
+    f: np.ndarray | None
+    K: np.ndarray | None
     # factorization of system (dgttrf's outputs in 1D, SuperLU in 2D),
     # or the harvesting model's latest 2D chord Jacobian (None until
     # its first solve)
@@ -232,8 +237,8 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
     if ops is None:
         lap = neumann_laplacian(grid)
         if model.kind == "linear":
-            system = model.mu * lap + sp.diags(model.coefficient("P", grid).ravel())
-            system = system.tocsc()
+            P = model.coefficient("P", grid)
+            system = (model.mu * lap + sp.diags(P.ravel())).tocsc()
             if grid.dim == 1:
                 bands = _bands(system)
                 *lu, info = dgttrf(*bands)
@@ -241,12 +246,13 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
             else:
                 bands, lu = None, _factorize(system)
             ops = _Operators(
-                lap, bands, system, model.coefficient("f", grid), lu,
+                lap, bands, system, P, model.coefficient("f", grid), None, lu,
                 float(abs(system).sum(axis=1).max()),
             )
         else:
             bands = _bands(lap) if grid.dim == 1 else None
-            ops = _Operators(lap, bands, None, None, None, None)
+            K = model.coefficient("K", grid)
+            ops = _Operators(lap, bands, None, None, None, K, None, None)
         model._cache[key] = ops
     return ops
 
@@ -264,7 +270,8 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
     roundoff:
     ||A theta - b|| <= BACKWARD_ERROR_FACTOR * u * (||A|| ||theta|| + ||b||)
     in the max norm.  ||A|| grows like 4 mu / dx^2, so a test against
-    ||b|| alone would reject correct solves on fine grids.
+    ||b|| alone would reject correct solves on fine grids.  A theta that
+    is not finite is rejected before the test.
     """
     if model.kind != "linear":
         raise ValueError("solve_linear needs a linear model")
@@ -280,10 +287,15 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
         product = diag * theta
         product[1:] += lower * theta[:-1]
         product[:-1] += upper * theta[1:]
-    resid = np.abs(product - rhs).max()
-    scale = ops.norm * np.abs(theta).max() + np.abs(rhs).max()
-    bound = BACKWARD_ERROR_FACTOR * np.finfo(float).eps / 2.0 * scale
-    if not np.isfinite(theta).all() or not resid <= bound:
+    # ufunc reductions straight, without the ndarray.max wrapper
+    resid = np.maximum.reduce(np.abs(product - rhs))
+    theta_norm = np.maximum.reduce(np.abs(theta))
+    if not math.isfinite(theta_norm):
+        raise SolverError(
+            f"linear solve is not finite (max |theta| {theta_norm})", residual=resid
+        )
+    bound = _BACKWARD_ERROR_UNIT * (ops.norm * theta_norm + np.maximum.reduce(np.abs(rhs)))
+    if not resid <= bound:
         raise SolverError(
             f"linear solve residual {resid:.3e} exceeds tolerance {bound:.3e}",
             residual=resid,
@@ -337,7 +349,7 @@ def solve_nonlinear(
     grid = grid_of(m) if theta0 is None else grid_of(m, theta0)
     ops = _operators(model, grid)
     lap, w = ops.lap, grid.quad_weights
-    K = model.coefficient("K", grid)
+    K = ops.K
     m_vals = m.values
     mu = model.mu
     strong_tol = opts.grad_tol / grid.spacing**grid.dim

@@ -17,17 +17,16 @@ and the income tiebreak takes the best-response slice.
 
 Within one outer iteration theta, the distance field and the model stay
 fixed across every halving, so the iterate's first trial builds a cut
-of it that every later trial reuses.  The cut keeps orders and sums:
-the selection order (ascending theta, or descending distance with
-income as tiebreak) with its masses and their cumulative sums, and the
-descending-theta order of the plateau with theta_bar and the plateau
-heights before the remaining mass is subtracted.  A trial sorts
-nothing: one search of the cumulative masses finds the crossing node,
-and comparing every key (and tiebreak) with that node's finds the
-taken nodes and the crossing level.  The sums add the same nodes in
-the same order as without the cut, so the results are the same to the
-bit.  Called alone, the selection and redistribution functions build
-the part of the cut they need on the spot.
+that every later trial reuses: the stable selection order (ascending
+theta, or descending distance with income as tiebreak) with its masses
+and their cumulative sums, and the descending-theta order of the
+plateau with theta_bar and the heights before m_plus, each order with
+its keys in that order.  A trial sorts nothing: a search of the
+cumulative masses finds the crossing position, and a search of the
+ordered keys (and tiebreaks) bounds its run.  The sums add the same
+nodes in node order as without the cut, so the results are the same to
+the bit.  Called alone, the selection and redistribution functions
+build the part of the cut they need on the spot.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eikonal import extract_target, solve_eikonal
-from .elliptic import ModelSpec, SolverError, solve_payoff
-from .grid import integrate
+from .elliptic import ModelSpec, SolverError, _operators, solve_payoff
 from .measures import (
     NORMALIZATION_TOL, SUPPORT_THRESHOLD, Density, ScalarField, density_grid, grid_of,
     tv_distance,
@@ -128,79 +126,92 @@ def nash_gap(theta: ScalarField, m: ScalarField) -> float:
     flow stops once this residual falls below tau.
     """
     grid_of(theta, m)
-    vals = m.values
-    mask = vals > SUPPORT_THRESHOLD * vals.max()  # support(m) without its checks
-    if not mask.any():
+    vals, th = m.values, theta.values
+    # theta on support(m), without support's checks
+    supported = th[vals > SUPPORT_THRESHOLD * np.maximum.reduce(vals, axis=None)]
+    if not supported.size:
         raise ValueError("m has empty support")
-    th = theta.values
-    return float(th.max() - th[mask].min())
+    return float(np.maximum.reduce(th, axis=None) - np.minimum.reduce(supported))
 
 
-def _sort_order(key, descending, tiebreak=None) -> np.ndarray:
-    """Stable order of the flat nodes by the field key, descending if
-    asked; equal keys by the ascending tiebreak field."""
+@dataclass(slots=True)
+class _Order:
+    """A stable order of the flat nodes, with their keys in that order."""
+
+    nodes: np.ndarray
+    rank: np.ndarray  # the position of every node in nodes
+    keys: np.ndarray  # ascending: the key, negated when the order descends
+    ties: np.ndarray | None  # the ascending tiebreak within equal keys
+    descending: bool
+
+
+def _sort_order(key, descending, tiebreak=None) -> _Order:
+    """Order the flat nodes by the field key, descending if asked, equal
+    keys by the ascending tiebreak field, and full ties by node."""
     signed = -key.values.ravel() if descending else key.values.ravel()
     if tiebreak is None:
-        return np.argsort(signed, kind="stable")
-    return np.lexsort((tiebreak.values.ravel(), signed))
+        nodes, ties = np.argsort(signed, kind="stable"), None
+    else:
+        nodes = np.lexsort((tiebreak.values.ravel(), signed))
+        ties = tiebreak.values.ravel()[nodes]
+    rank = np.empty_like(nodes)
+    rank[nodes] = np.arange(nodes.size)
+    return _Order(nodes, rank, signed[nodes], ties, descending)
 
 
-def _ordered_slice(mass, order, eps, key, descending, tiebreak=None, cum=None):
-    """Take eps of `mass` in `order`, fractionally at the crossing level
-    so the slice integrates to eps exactly.
+def _slice(mass, order, eps, cum=None):
+    """Take eps of the flat `mass` in `order`, fractionally on the
+    crossing run so the slice integrates to eps exactly.
 
-    order is _sort_order(key, descending, tiebreak), and cum the
-    cumulative masses in that order (recomputed unless given).  One
-    search of cum finds the crossing node.  Comparing every key (and
-    tiebreak) with the crossing node's finds the nodes before it in the
-    order, which are taken whole, and the nodes that share its key (and
-    tiebreak), which are scaled by one common factor.  Returns (per-node
-    weights in [0,1] with mass's shape, crossing level).  The slice may
-    exceed the available mass by NORMALIZATION_TOL, the slack a
-    Density's unit mass is allowed.
+    cum holds the cumulative masses in that order; left out, they are
+    summed here, over the first 256 nodes only if those hold eps (the
+    plateau's crossing lies near its top, and a prefix of the sums is
+    the sum of the prefix).  A search of cum finds the crossing position
+    and a search of the ordered keys (and tiebreaks) bounds its run; the
+    nodes before it are taken whole and its nodes scaled by one factor,
+    both sums adding in node order.  Returns (flat weights in [0,1],
+    crossing level).  eps may exceed the mass by NORMALIZATION_TOL, the
+    slack of a Density's unit mass.
     """
-    flat, key = mass.ravel(), key.values.ravel()
     if cum is None:
-        # np.cumsum's sums without its dispatch cost, which every trial pays
-        cum = np.add.accumulate(flat[order])
+        for stop in (256, None):
+            cum = np.add.accumulate(mass[order.nodes[:stop]])
+            if cum[-1] >= eps:
+                break
     total = cum[-1]
     if eps > total + NORMALIZATION_TOL:
         raise ValueError(f"requested mass {eps!r} exceeds available {total!r}")
     eps_eff = min(eps, total)
-    node = order[min(int(cum.searchsorted(eps_eff, "left")), cum.size - 1)]
-    level = key[node]
-    inside = key > level if descending else key < level
-    crossing = key == level
-    if tiebreak is not None:
-        tiebreak = tiebreak.values.ravel()
-        inside |= crossing & (tiebreak < tiebreak[node])
-        crossing &= tiebreak == tiebreak[node]
-    mass_inside = float(flat[inside].sum())
-    mass_level = float(flat[crossing].sum())
-    frac = 0.0
-    if mass_level > 0.0:
-        frac = min(max((eps_eff - mass_inside) / mass_level, 0.0), 1.0)
+    at = min(int(cum.searchsorted(eps_eff, "left")), cum.size - 1)
+    keys = order.keys
+    lo, hi = keys.searchsorted(keys[at], "left"), keys.searchsorted(keys[at], "right")
+    if order.ties is not None:
+        ties, tie = order.ties[lo:hi], order.ties[at]
+        lo, hi = lo + ties.searchsorted(tie, "left"), lo + ties.searchsorted(tie, "right")
+    inside = order.rank < lo
+    crossing = order.nodes[lo:hi]  # in node order: the sort is stable
+    mass_inside = float(np.add.reduce(mass[inside]))
+    mass_level = float(np.add.reduce(mass[crossing]))
+    share = (eps_eff - mass_inside) / mass_level if mass_level > 0.0 else 0.0
     weights = inside.astype(float)
-    weights[crossing] = frac
-    return weights.reshape(mass.shape), float(level)
+    weights[crossing] = min(max(share, 0.0), 1.0)
+    return weights, float(-keys[at] if order.descending else keys[at])
 
 
 @dataclass(slots=True)
 class _Selection:
-    """The mass of m in removal order, with its cumulative sums."""
+    """The flat mass of m with its cumulative sums in removal order."""
 
     sources: tuple  # (m, key, tiebreak) it was built from
-    descending: bool
-    order: np.ndarray
+    order: _Order
     mass: np.ndarray
     cum: np.ndarray
 
 
 def _selection(m, key, descending, tiebreak=None) -> _Selection:
     order = _sort_order(key, descending, tiebreak)
-    mass = m.grid.quad_weights * m.values
-    cum = np.add.accumulate(mass.ravel()[order])
-    return _Selection((m, key, tiebreak), descending, order, mass, cum)
+    mass = (m.grid.quad_weights * m.values).ravel()
+    return _Selection((m, key, tiebreak), order, mass, np.add.accumulate(mass[order.nodes]))
 
 
 @dataclass(slots=True)
@@ -208,17 +219,15 @@ class _Plateau:
     """Descending payoff order and plateau heights before m_plus."""
 
     sources: tuple  # (theta, model) it was built from
-    order: np.ndarray
+    order: _Order
     theta_bar: float
     base: np.ndarray  # f - P theta_bar (linear) or K - theta_bar
 
 
 def _plateau(theta, model) -> _Plateau:
-    grid, theta_bar = theta.grid, float(theta.values.max())
-    if model.kind == "linear":
-        base = model.coefficient("f", grid) - model.coefficient("P", grid) * theta_bar
-    else:
-        base = model.coefficient("K", grid) - theta_bar
+    grid, theta_bar = theta.grid, float(np.maximum.reduce(theta.values, axis=None))
+    ops = _operators(model, grid)
+    base = ops.f - ops.P * theta_bar if model.kind == "linear" else ops.K - theta_bar
     return _Plateau((theta, model), _sort_order(theta, True), theta_bar, base)
 
 
@@ -232,10 +241,7 @@ class _Cut:
 
 def _cut(m, theta, v, model) -> _Cut:
     """The cut of an iterate: selection by income, or by distance v."""
-    if v is None:
-        selection = _selection(m, theta, descending=False)
-    else:
-        selection = _selection(m, v, descending=True, tiebreak=theta)
+    selection = _selection(m, theta, False) if v is None else _selection(m, v, True, theta)
     return _Cut(selection, _plateau(theta, model))
 
 
@@ -247,14 +253,10 @@ def _reused(part, *sources):
 
 
 def _split(selection, eps):
-    m, key, tiebreak = selection.sources
-    weights, eta = _ordered_slice(
-        selection.mass, selection.order, eps, key, selection.descending, tiebreak,
-        selection.cum,
-    )
-    m_vals = m.values
-    m_minus = m_vals * weights
-    return ScalarField(m_minus, m.grid), ScalarField(m_vals - m_minus, m.grid), eta
+    m = selection.sources[0]
+    weights, eta = _slice(selection.mass, selection.order, eps, selection.cum)
+    m_minus = m.values * weights.reshape(m.values.shape)
+    return ScalarField(m_minus, m.grid), ScalarField(m.values - m_minus, m.grid), eta
 
 
 def select_lowest_income(m: ScalarField, theta: ScalarField, eps: float, cut=None):
@@ -271,10 +273,8 @@ def select_lowest_income(m: ScalarField, theta: ScalarField, eps: float, cut=Non
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if cut is None:
-        selection = _selection(m, theta, descending=False)
-    else:
-        selection = _reused(cut.selection, m, theta, None)
-    return _split(selection, eps)
+        return _split(_selection(m, theta, descending=False), eps)
+    return _split(_reused(cut.selection, m, theta, None), eps)
 
 
 def select_farthest(m: ScalarField, v: ScalarField, eps: float, income=None, cut=None):
@@ -289,10 +289,7 @@ def select_farthest(m: ScalarField, v: ScalarField, eps: float, income=None, cut
     positive distance (the density already lives on the target); the
     flow's selection needs no such check (see the module docstring).
     """
-    if income is None:
-        grid_of(m, v)
-    else:
-        grid_of(m, v, income)
+    grid_of(m, v) if income is None else grid_of(m, v, income)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if cut is None:
@@ -326,14 +323,15 @@ def redistribute(
         raise ValueError("eps must be positive")
     plateau = _plateau(theta, model) if cut is None else _reused(cut.plateau, theta, model)
     height = np.maximum(plateau.base - m_plus.values, 0.0)
-    mass = grid.quad_weights * height
-    capacity = float(np.sum(mass))
+    mass = (grid.quad_weights * height).ravel()
+    capacity = float(np.add.reduce(mass))
     if capacity < eps * (1.0 - 1e-12):
         raise RedistributionShortfallError(
             f"plateau capacity {capacity!r} below requested mass {eps!r}"
         )
-    weights, level = _ordered_slice(mass, plateau.order, eps, theta, True)
-    return ScalarField(height * weights, grid), level, plateau.theta_bar
+    weights, level = _slice(mass, plateau.order, eps)
+    nu = np.multiply(height, weights.reshape(height.shape), out=height)
+    return ScalarField(nu, grid), level, plateau.theta_bar
 
 
 def _distance_field(grid, theta, resid):
@@ -357,13 +355,14 @@ def _trial(m, theta, v, model, eps, allow_overlap, cut):
     else:
         m_minus, m_plus, _ = select_farthest(m, v, eps, income=theta, cut=cut)
     try:
-        nu, _, _ = redistribute(m_plus, theta, model, eps, cut=cut)
+        nu = redistribute(m_plus, theta, model, eps, cut=cut)[0].values
     except RedistributionShortfallError:
         return "shortfall"
-    if not allow_overlap and bool(np.any((m_minus.values > 0.0) & (nu.values > 0.0))):
+    # nu >= 0, so the regions overlap where nu is positive under m_minus
+    if not allow_overlap and np.maximum.reduce(nu[m_minus.values > 0.0], initial=0.0) > 0.0:
         return "overlap"
-    m_new = m_plus.values + nu.values
-    total = integrate(m_new, m.grid)
+    m_new = m_plus.values + nu
+    total = float(np.add.reduce(m.grid.quad_weights * m_new, axis=None))  # integrate's sum
     if abs(total - 1.0) > 1e-12:
         m_new = m_new / total
     m_new = ScalarField(m_new, m.grid)

@@ -27,6 +27,8 @@ SUPPORT_THRESHOLD = 1e-9
 
 MAX_REDRAWS = 100
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -37,15 +39,16 @@ class ScalarField:
 
     def __post_init__(self):
         vals = self.values
-        # a float64 ndarray is kept as it is, as np.asarray would keep it
-        if type(vals) is not np.ndarray or vals.dtype != np.float64:
+        # a float64 ndarray is kept as it is, as np.asarray would keep it;
+        # its dtype is numpy's one float64 instance unless made otherwise
+        if type(vals) is not np.ndarray or vals.dtype is not _FLOAT64:
             if isinstance(vals, ScalarField):
                 raise ValueError(
                     f"{type(self).__name__} takes node values; pass the field's .values"
                 )
             vals = np.asarray(vals, dtype=float)
             object.__setattr__(self, "values", vals)
-        if vals.shape != self.grid.shape:
+        if vals.shape != self.grid.quad_weights.shape:  # the grid's shape
             raise ValueError(
                 f"field shape {vals.shape} does not match grid {self.grid.shape}"
             )

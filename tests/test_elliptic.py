@@ -212,6 +212,41 @@ class TestLinearSolve:
         with pytest.raises(SolverError, match="exceeds tolerance"):
             solve_linear(model, uniform(grid))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("dim,n", [(1, 200), (2, 20)], ids=["1d", "2d"])
+    def test_non_finite_solve_raises(self, monkeypatch, dim, n, bad):
+        # one non-finite node of the solution fails the solve as not
+        # finite, rather than as a residual over a non-finite tolerance
+        grid = make_grid(dim, n)
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.coords()[0])
+        m = uniform(grid)
+        solve_linear(model, m)  # factorizes and caches the operator
+
+        def spoiled(theta):
+            theta = theta.copy()
+            theta[theta.size // 2] = bad
+            return theta
+
+        if dim == 1:  # LAPACK's tridiagonal solve
+            dgttrs = elliptic.dgttrs
+
+            def spoiled_dgttrs(*args):
+                theta, info = dgttrs(*args)
+                return spoiled(theta), info
+
+            monkeypatch.setattr(elliptic, "dgttrs", spoiled_dgttrs)
+        else:  # the cached SuperLU factor's solve
+            ops = elliptic._operators(model, grid)
+
+            class SpoiledFactor:
+                def solve(self, rhs, lu=ops.lu):
+                    return spoiled(lu.solve(rhs))
+
+            monkeypatch.setattr(ops, "lu", SpoiledFactor())
+        with pytest.raises(SolverError, match="linear solve is not finite") as failed:
+            solve_linear(model, m)
+        assert not np.isfinite(failed.value.residual)
+
     def test_1d_solve_matches_dense_solve(self):
         grid = make_grid(1, 400)
         x = grid.axes[0]

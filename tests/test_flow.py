@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from mfgflow import (
     solve_payoff,
     tv_distance,
 )
+from mfgflow.measures import NORMALIZATION_TOL
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +276,20 @@ class TestFlowStep:
         assert not result.converged
 
 
+def assert_stall(grid, m0, iterations, halvings, residual, best):
+    """The eikonal flow on linear-sin from m0 ends eps_exhausted after
+    these steps and halvings at this residual; the best-response flow
+    from m0 converges in `best` steps."""
+    model = build_model(PRESETS["linear-sin"], grid)
+    result = run_flow(model, m0, FlowConfig(variant="eikonal"))
+    assert result.termination == "eps_exhausted" and not result.converged
+    assert result.iterations == iterations
+    assert sum(record.halvings for record in result.records) == halvings
+    assert result.final_residual == pytest.approx(residual, rel=1e-9)
+    best_response = run_flow(model, m0, FlowConfig())
+    assert best_response.converged and best_response.iterations == best
+
+
 class TestRunFlow:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -308,14 +325,13 @@ class TestRunFlow:
     def test_stalled_eikonal_run_ends_eps_exhausted(self, grid):
         # a random start on linear-sin (a stress-1d row): the eikonal flow
         # stalls at 3.3 tau, where no step down to eps_min lowers the gap
-        model = build_model(PRESETS["linear-sin"], grid)
-        m0 = random_density(9, grid)
-        result = run_flow(model, m0, FlowConfig(variant="eikonal"))
-        assert result.termination == "eps_exhausted" and not result.converged
-        assert result.iterations == 29
-        assert result.final_residual == pytest.approx(3.292989667965651e-3, rel=1e-9)
-        best = run_flow(model, m0, FlowConfig())
-        assert best.converged and best.iterations == 18
+        assert_stall(grid, random_density(9, grid), 29, 409, 3.292989667965651e-3, best=18)
+
+    def test_stalled_eikonal_run_on_a_ten_times_finer_grid(self):
+        # linear-sin from the uniform density at n = 10^4 stalls at 23 tau
+        grid = make_grid(1, 10_000)
+        m0 = normalize(np.ones(grid.shape), grid)
+        assert_stall(grid, m0, 51, 581, 2.2834319252582613e-3, best=52)
 
     def test_invariants_along_run(self, grid, uniform):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
@@ -415,15 +431,19 @@ class TestRunFlow:
             assert d <= 2 * grid.spacing
 
 
+def comparison_order(key, descending, tiebreak=None):
+    """Stable order of the flat nodes by key, then tiebreak, then node."""
+    signed = -key.ravel() if descending else key.ravel()
+    if tiebreak is None:
+        return np.argsort(signed, kind="stable")
+    return np.lexsort((tiebreak.ravel(), signed))
+
+
 def comparison_slice(mass, key, eps, descending, tiebreak=None):
     """Reference slice that finds the taken nodes and the crossing level
     set by comparing every node with the crossing key (and tiebreak)."""
     key_flat, mass_flat = key.ravel(), mass.ravel()
-    signed = -key_flat if descending else key_flat
-    if tiebreak is None:
-        order = np.argsort(signed, kind="stable")
-    else:
-        order = np.lexsort((tiebreak.ravel(), signed))
+    order = comparison_order(key, descending, tiebreak)
     cum = np.cumsum(mass_flat[order])
     eps_eff = min(eps, cum[-1])
     idx = min(int(np.searchsorted(cum, eps_eff, side="left")), order.size - 1)
@@ -442,6 +462,21 @@ def comparison_slice(mass, key, eps, descending, tiebreak=None):
     weights = inside.astype(float)
     weights[at_level] = frac
     return weights, float(level)
+
+
+def ends_of_order(mass, key, descending, tiebreak=None):
+    """eps values that put the crossing at either end of the order: half
+    the mass of the first node that holds any, the whole mass, and the
+    whole mass plus the slack a Density's unit mass is allowed.  Also
+    returns the mask of the nodes that tie with that first node."""
+    order = comparison_order(key, descending, tiebreak)
+    cum = np.cumsum(mass.ravel()[order])
+    first = order[np.flatnonzero(cum > 0.0)[0]]
+    run = key.ravel() == key.ravel()[first]
+    if tiebreak is not None:
+        run &= tiebreak.ravel() == tiebreak.ravel()[first]
+    low = cum[cum > 0.0][0] / 2
+    return (low, cum[-1], cum[-1] + NORMALIZATION_TOL), run.reshape(key.shape)
 
 
 def bits(*values):
@@ -538,37 +573,48 @@ class TestCut:
         kwargs = {} if tiebreak is None else {"income": tiebreak}
         theta_bar = theta.values.max()
         base = model.coefficient("f", grid) - model.coefficient("P", grid) * theta_bar
-        for k in range(9):
-            eps = eps0 / 2**k
+        tiebreak_values = None if tiebreak is None else tiebreak.values
+
+        def check_selection(eps):
             plan_free = select(*sources, eps, **kwargs)
             cached = select(*sources, eps, cut=cut, **kwargs)
             weights, eta = comparison_slice(
-                grid.quad_weights * m.values, key.values, eps, descending,
-                None if tiebreak is None else tiebreak.values,
+                grid.quad_weights * m.values, key.values, eps, descending, tiebreak_values
             )
             m_minus = m.values * weights
             assert bits(*cached) == bits(*plan_free) == bits(m_minus, m.values - m_minus, eta)
-            if name.startswith("boundary"):
-                # eps ends the run theta = 8 - k: it is the crossing run,
-                # taken whole, and eta is its key
-                run = theta.values == 8 - k
-                assert eta == key.values[run][0]
-                assert np.array_equal(m_minus, m.values * (theta.values <= 8 - k))
+            return cached
 
-            m_plus = cached[1]
+        def check_plateau(m_plus, eps):
             plan_free = outcome(redistribute, m_plus, theta, model, eps)
             cached = outcome(redistribute, m_plus, theta, model, eps, cut=cut)
             if isinstance(cached, type):  # both report the same shortfall
                 assert cached is plan_free is RedistributionShortfallError
-                continue
+                return None
             height = np.maximum(base - m_plus.values, 0.0)
             weights, level = comparison_slice(
                 grid.quad_weights * height, theta.values, eps, True
             )
             assert bits(*cached) == bits(*plan_free) == bits(height * weights, level, theta_bar)
+            return cached
+
+        for k in range(9):
+            eps = eps0 / 2**k
+            m_minus, m_plus, eta = check_selection(eps)
+            if name.startswith("boundary"):
+                # eps ends the run theta = 8 - k: it is the crossing run,
+                # taken whole, and eta is its key
+                run = theta.values == 8 - k
+                assert eta == key.values[run][0]
+                assert np.array_equal(m_minus.values, m.values * (theta.values <= 8 - k))
+
+            cached = check_plateau(m_plus, eps)
+            if cached is None:
+                continue
+            height = np.maximum(base - m_plus.values, 0.0)
             if name.startswith("boundary"):
                 # eps ends the plateau run theta = 11 + k, which is taken whole
-                assert level == 11 + k
+                assert cached[1] == 11 + k
                 assert np.array_equal(cached[0].values, height * (theta.values >= 11 + k))
             if name == "plateau-tie":
                 # the crossing falls inside the top run of 401 tied
@@ -578,7 +624,28 @@ class TestCut:
                 assert np.count_nonzero(top) > 200
                 assert np.array_equal(cached[0].values > 0.0, top)
             if name == "constant-theta":
-                assert np.count_nonzero(weights) == grid.num_nodes
+                assert np.count_nonzero(cached[0].values) == grid.num_nodes
+
+        # the crossing at the first node of each order that holds mass,
+        # at its last one, and past the whole mass by the allowed slack
+        mass = grid.quad_weights * m.values
+        (low, whole, over), run = ends_of_order(mass, key.values, descending, tiebreak_values)
+        m_minus = check_selection(low)[0].values
+        assert np.all(run[m_minus > 0.0])  # only the first run gives
+        for eps in (whole, over):
+            m_minus = check_selection(eps)[0].values
+            assert np.abs(m_minus - m.values).max() <= 1e-9 * m.values.max()
+
+        m_plus = select(*sources, eps0, cut=cut, **kwargs)[1]
+        height = np.maximum(base - m_plus.values, 0.0)
+        mass = grid.quad_weights * height
+        (low, whole, over), run = ends_of_order(mass, theta.values, True)
+        nu = check_plateau(m_plus, low)[0].values
+        assert np.all(run[nu > 0.0])
+        # the shortfall test allows the plateau a relative slack of 1e-12
+        for eps in (whole, min(over, whole * (1.0 + 1e-13))):
+            nu = check_plateau(m_plus, eps)[0].values
+            assert np.abs(nu - height).max() <= 1e-9 * height.max()
 
     def test_cut_of_another_iterate_rejected(self, grid, uniform):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
@@ -594,24 +661,42 @@ class TestCut:
 
     @pytest.mark.parametrize("variant", ["best_response", "eikonal"])
     def test_one_pair_of_sorts_per_iterate(self, grid, uniform, monkeypatch, variant):
-        calls = {"sort": 0, "trial": 0}
+        sorts, calls = [], []
 
-        def counting(name, fn):
+        def recording(fn, log, letter):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+                try:
+                    out = fn(*args, **kwargs)
+                except RedistributionShortfallError:
+                    log.append(letter.lower())
+                    raise
+                log.append(letter)
+                return out
 
             return wrapper
 
-        monkeypatch.setattr(flow, "_sort_order", counting("sort", flow._sort_order))
-        for select in ("select_lowest_income", "select_farthest"):
-            monkeypatch.setattr(flow, select, counting("trial", getattr(flow, select)))
+        monkeypatch.setattr(flow, "_sort_order", recording(flow._sort_order, sorts, "O"))
+        # the four functions a per-layer trace wraps, called through this
+        # module's globals; the other variant's selection must not run
+        select = "select_lowest_income" if variant == "best_response" else "select_farthest"
+        other = "select_farthest" if variant == "best_response" else "select_lowest_income"
+        letters = {select: "S", other: "X", "redistribute": "R", "solve_payoff": "P",
+                   "nash_gap": "N"}
+        for name, letter in letters.items():
+            monkeypatch.setattr(flow, name, recording(getattr(flow, name), calls, letter))
         preset = PRESETS["linear-sin"]
         cfg = FlowConfig(variant=variant, eps0=preset.default_eps0)
         result = run_flow(build_model(preset, grid), uniform, cfg)
         assert result.termination == "converged"
+        # one initial solve and gap; then per trial one selection and one
+        # redistribution, which succeeds (R) or reports a shortfall (r),
+        # and one solve and one gap only after a success with no overlap
+        log = "".join(calls)
+        assert re.fullmatch(r"PN(S(r|R(PN)?))*", log), log
+        trials = log.count("S")
+        assert re.search(r"R(?!P)", log)  # some trials were rejected for overlap
         # every accepted step left an iterate that took trials; the final
         # iterate met the tolerance and took none
         iterates = result.iterations
-        assert calls["trial"] > iterates + 10  # halvings happened
-        assert calls["sort"] == 2 * iterates
+        assert trials > iterates + 10  # halvings happened
+        assert len(sorts) == 2 * iterates
