@@ -200,31 +200,34 @@ def _materialize(rc: SimpleNamespace):
     """Build (grid, model, flow config, metadata) from resolved run inputs.
 
     A config file's model keys form a Preset named after its kind, so
-    both routes build their model with build_model.  Every ValueError
-    raised while building them is reported as a ConfigError.
+    both routes build their model with build_model; a model key its
+    route does not read is refused.  Every ValueError raised while
+    building them is reported as a ConfigError.
     """
     try:
         if rc.preset is not None:
-            preset = PRESETS[rc.preset]
+            preset, unread = PRESETS[rc.preset], ("kind", "f", "P", "K")
             if rc.dim is not None and rc.dim != preset.dim:
                 raise ConfigError(f"preset {rc.preset!r} is {preset.dim}D")
+        elif rc.kind is None:
+            raise ConfigError("need --preset, or kind = linear|nonlinear in the config")
         else:
-            if rc.kind is None:
-                raise ConfigError("need --preset, or kind = linear|nonlinear in the config")
             if rc.dim is None:
                 raise ConfigError("expression-built models need dim")
-            if rc.kind == "linear" and (rc.f is None or rc.P is None):
-                raise ConfigError("linear models need f and P expressions")
-            if rc.kind == "nonlinear" and rc.K is None:
-                raise ConfigError("nonlinear models need a K expression")
-            coefficient = rc.f if rc.kind == "linear" else rc.K
-            preset = Preset(rc.kind, rc.kind, rc.dim, coefficient, P=rc.P)
+            linear = rc.kind == "linear"
+            needed, unread = (("f", "P"), ("K",)) if linear else (("K",), ("f", "P"))
+            if any(getattr(rc, key) is None for key in needed):
+                raise ConfigError(f"{rc.kind} models need {' and '.join(needed)}")
+            preset = Preset(rc.kind, rc.kind, rc.dim, rc.f if linear else rc.K, P=rc.P)
+        for key in unread:
+            if getattr(rc, key) is not None:
+                route = "beside a preset" if rc.preset else f"by a {rc.kind} model"
+                raise ConfigError(f"config key {key!r} is not read {route}")
         grid = make_grid(preset.dim, rc.n)
         model = build_model(preset, grid, seed=rc.seed, mu=rc.mu)
-        eps0 = rc.eps0 if rc.eps0 is not None else preset.default_eps0
         flow_cfg = FlowConfig(
             variant=rc.variant.replace("-", "_"),
-            eps0=eps0,
+            eps0=rc.eps0 if rc.eps0 is not None else preset.default_eps0,
             eps_min=rc.eps_min,
             max_outer=rc.max_outer,
             tau=grid.spacing if rc.tau == "dx" else rc.tau,

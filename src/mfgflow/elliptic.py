@@ -509,17 +509,25 @@ def pde_residual(model: ModelSpec, m: ScalarField, theta: ScalarField) -> float:
     """Max norm of the discrete PDE residual of theta for the model."""
     grid = grid_of(m, theta)
     m_vals, th = m.values, theta.values
-    lap_theta = (_operators(model, grid).lap @ th.ravel()).reshape(grid.shape)
+    ops = _operators(model, grid)
+    lap_theta = (ops.lap @ th.ravel()).reshape(grid.shape)
     if model.kind == "linear":
-        res = (
-            model.mu * lap_theta
-            + model.coefficient("P", grid) * th
-            - (model.coefficient("f", grid) - m_vals)
-        )
+        res = model.mu * lap_theta + ops.P * th - (ops.f - m_vals)
     else:
-        K = model.coefficient("K", grid)
-        res = model.mu * lap_theta - th * (K - th) + m_vals * th
+        res = model.mu * lap_theta - th * (ops.K - th) + m_vals * th
     return float(np.abs(res).max())
+
+
+def plateau_density(model: ModelSpec, grid: Grid, theta_bar: float) -> ScalarField:
+    """The node values m for which theta == theta_bar solves the payoff PDE.
+
+    The Laplacian of a constant vanishes, which leaves m = f - P theta_bar
+    (linear) or m = K - theta_bar (harvesting).  The flow rebuilds mass
+    on the payoff plateau up to this height.
+    """
+    ops = _operators(model, grid)
+    values = ops.f - ops.P * theta_bar if model.kind == "linear" else ops.K - theta_bar
+    return ScalarField(values, grid)
 
 
 def solve_payoff(

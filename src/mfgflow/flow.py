@@ -22,11 +22,13 @@ theta, or descending distance with income as tiebreak) with its masses
 and their cumulative sums, and the descending-theta order of the
 plateau with theta_bar and the heights before m_plus, each order with
 its keys in that order.  A trial sorts nothing: a search of the
-cumulative masses finds the crossing position, and a search of the
-ordered keys (and tiebreaks) bounds its run.  The sums add the same
-nodes in node order as without the cut, so the results are the same to
-the bit.  Called alone, the selection and redistribution functions
-build the part of the cut they need on the spot.
+cumulative masses finds the crossing position, a search of the ordered
+keys (and tiebreaks) bounds its run, and the nodes before the run lead
+the order.  The plateau's cumulative heights, summed per trial, both
+decide a shortfall and place the crossing.  The sums add the same nodes
+in node order as without the cut, so the results are the same to the
+bit.  Called alone, the selection and redistribution functions build
+the part of the cut they need on the spot.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eikonal import extract_target, solve_eikonal
-from .elliptic import ModelSpec, SolverError, _operators, solve_payoff
+from .elliptic import ModelSpec, SolverError, plateau_density, solve_payoff
+from .grid import integrate
 from .measures import (
-    NORMALIZATION_TOL, SUPPORT_THRESHOLD, Density, ScalarField, density_grid, grid_of,
-    tv_distance,
+    NORMALIZATION_TOL, Density, ScalarField, density_grid, grid_of, support, tv_distance,
 )
 
 # The eikonal variant's target holds every node whose income lies within
@@ -126,12 +128,10 @@ def nash_gap(theta: ScalarField, m: ScalarField) -> float:
     flow stops once this residual falls below tau.
     """
     grid_of(theta, m)
-    vals, th = m.values, theta.values
-    # theta on support(m), without support's checks
-    supported = th[vals > SUPPORT_THRESHOLD * np.maximum.reduce(vals, axis=None)]
+    supported = theta.values[support(m)]
     if not supported.size:
         raise ValueError("m has empty support")
-    return float(np.maximum.reduce(th, axis=None) - np.minimum.reduce(supported))
+    return float(np.maximum.reduce(theta.values, axis=None) - np.minimum.reduce(supported))
 
 
 @dataclass(slots=True)
@@ -139,7 +139,6 @@ class _Order:
     """A stable order of the flat nodes, with their keys in that order."""
 
     nodes: np.ndarray
-    rank: np.ndarray  # the position of every node in nodes
     keys: np.ndarray  # ascending: the key, negated when the order descends
     ties: np.ndarray | None  # the ascending tiebreak within equal keys
     descending: bool
@@ -154,30 +153,21 @@ def _sort_order(key, descending, tiebreak=None) -> _Order:
     else:
         nodes = np.lexsort((tiebreak.values.ravel(), signed))
         ties = tiebreak.values.ravel()[nodes]
-    rank = np.empty_like(nodes)
-    rank[nodes] = np.arange(nodes.size)
-    return _Order(nodes, rank, signed[nodes], ties, descending)
+    return _Order(nodes, signed[nodes], ties, descending)
 
 
-def _slice(mass, order, eps, cum=None):
+def _slice(mass, order, eps, cum):
     """Take eps of the flat `mass` in `order`, fractionally on the
     crossing run so the slice integrates to eps exactly.
 
-    cum holds the cumulative masses in that order; left out, they are
-    summed here, over the first 256 nodes only if those hold eps (the
-    plateau's crossing lies near its top, and a prefix of the sums is
-    the sum of the prefix).  A search of cum finds the crossing position
+    cum holds the cumulative masses in that order, or a prefix of them
+    that reaches eps.  A search of cum finds the crossing position
     and a search of the ordered keys (and tiebreaks) bounds its run; the
     nodes before it are taken whole and its nodes scaled by one factor,
     both sums adding in node order.  Returns (flat weights in [0,1],
     crossing level).  eps may exceed the mass by NORMALIZATION_TOL, the
     slack of a Density's unit mass.
     """
-    if cum is None:
-        for stop in (256, None):
-            cum = np.add.accumulate(mass[order.nodes[:stop]])
-            if cum[-1] >= eps:
-                break
     total = cum[-1]
     if eps > total + NORMALIZATION_TOL:
         raise ValueError(f"requested mass {eps!r} exceeds available {total!r}")
@@ -188,7 +178,8 @@ def _slice(mass, order, eps, cum=None):
     if order.ties is not None:
         ties, tie = order.ties[lo:hi], order.ties[at]
         lo, hi = lo + ties.searchsorted(tie, "left"), lo + ties.searchsorted(tie, "right")
-    inside = order.rank < lo
+    inside = np.zeros(mass.size, dtype=bool)
+    inside[order.nodes[:lo]] = True
     crossing = order.nodes[lo:hi]  # in node order: the sort is stable
     mass_inside = float(np.add.reduce(mass[inside]))
     mass_level = float(np.add.reduce(mass[crossing]))
@@ -221,13 +212,12 @@ class _Plateau:
     sources: tuple  # (theta, model) it was built from
     order: _Order
     theta_bar: float
-    base: np.ndarray  # f - P theta_bar (linear) or K - theta_bar
+    base: np.ndarray  # the plateau density at theta_bar
 
 
 def _plateau(theta, model) -> _Plateau:
-    grid, theta_bar = theta.grid, float(np.maximum.reduce(theta.values, axis=None))
-    ops = _operators(model, grid)
-    base = ops.f - ops.P * theta_bar if model.kind == "linear" else ops.K - theta_bar
+    theta_bar = float(np.maximum.reduce(theta.values, axis=None))
+    base = plateau_density(model, theta.grid, theta_bar).values
     return _Plateau((theta, model), _sort_order(theta, True), theta_bar, base)
 
 
@@ -306,13 +296,12 @@ def redistribute(
 ):
     """Rebuild mass eps on the payoff plateau {theta >= C}.
 
-    The added density has the height that flattens theta there: for the
-    linear model (f - P theta_bar - m_plus)+, for the harvesting model
-    (K - theta_bar - m_plus)+, with theta_bar the top payoff value.
-    Negative pointwise heights are clamped to zero and the level C is
-    lowered (with fractional weighting of the crossing level) until the
-    added mass reaches eps exactly.  cut is the flow's cut of theta,
-    reused across halving trials; the result is the same without it.
+    The added density has the height that flattens theta there, the
+    plateau density at the top payoff theta_bar (elliptic.plateau_density)
+    less m_plus, clamped at zero; the level C is lowered (with fractional
+    weighting of the crossing level) until the added mass reaches eps
+    exactly.  cut is the flow's cut of theta, reused across halving
+    trials; the result is the same without it.
 
     Returns (nu, C, theta_bar), nu a field on theta's grid.  Raises
     RedistributionShortfallError when the plateau heights over the whole
@@ -324,12 +313,17 @@ def redistribute(
     plateau = _plateau(theta, model) if cut is None else _reused(cut.plateau, theta, model)
     height = np.maximum(plateau.base - m_plus.values, 0.0)
     mass = (grid.quad_weights * height).ravel()
-    capacity = float(np.add.reduce(mass))
-    if capacity < eps * (1.0 - 1e-12):
+    # a prefix of the sums is the sum of the prefix; the first 256 nodes held eps in
+    # 8426/8426 stress-1d, 350/350 refine-1d, 866/1008 presets-1d, 10/317 presets-2d trials
+    for stop in (256, None):
+        cum = np.add.accumulate(mass[plateau.order.nodes[:stop]])
+        if cum[-1] >= eps:
+            break
+    if cum[-1] < eps * (1.0 - 1e-12):
         raise RedistributionShortfallError(
-            f"plateau capacity {capacity!r} below requested mass {eps!r}"
+            f"plateau capacity {float(cum[-1])!r} below requested mass {eps!r}"
         )
-    weights, level = _slice(mass, plateau.order, eps)
+    weights, level = _slice(mass, plateau.order, eps, cum)
     nu = np.multiply(height, weights.reshape(height.shape), out=height)
     return ScalarField(nu, grid), level, plateau.theta_bar
 
@@ -362,7 +356,7 @@ def _trial(m, theta, v, model, eps, allow_overlap, cut):
     if not allow_overlap and np.maximum.reduce(nu[m_minus.values > 0.0], initial=0.0) > 0.0:
         return "overlap"
     m_new = m_plus.values + nu
-    total = float(np.add.reduce(m.grid.quad_weights * m_new, axis=None))  # integrate's sum
+    total = integrate(m_new, m.grid)
     if abs(total - 1.0) > 1e-12:
         m_new = m_new / total
     m_new = ScalarField(m_new, m.grid)
@@ -404,18 +398,12 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
 
     def record(eps, tv_step, halvings):
         # snapshot of the current (m, theta, resid, mass_cum)
-        records.append(
-            IterationRecord(
-                j=len(records),
-                eps=eps,
-                residual=resid,
-                sup_theta=float(theta.values.max()),
-                min_theta_supp=float(theta.values.max()) - resid,
-                tv_step=tv_step,
-                mass_cum=mass_cum,
-                halvings=halvings,
-            )
-        )
+        top = float(theta.values.max())
+        records.append(IterationRecord(
+            j=len(records), eps=eps, residual=resid, sup_theta=top,
+            min_theta_supp=top - resid, tv_step=tv_step, mass_cum=mass_cum,
+            halvings=halvings,
+        ))
         if densities is not None:
             densities.append(m.values.copy())
 

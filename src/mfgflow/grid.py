@@ -101,4 +101,4 @@ def integrate(values, grid: Grid) -> float:
         raise ValueError(
             f"field shape {vals.shape} does not match grid shape {grid.shape}"
         )
-    return float(np.sum(grid.quad_weights * vals))
+    return float(np.add.reduce(grid.quad_weights * vals, axis=None))  # np.sum, unwrapped

@@ -242,6 +242,31 @@ def test_invalid_run_input_exit_3(tmp_path, capsys, monkeypatch, args, config, e
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config, key", [
+    ("preset = linear-4x\nkind = nonlinear\nf = 9*x\nn = 100\n", "kind"),
+    ("preset = linear-4x\nf = 4*x\n", "f"),
+    ("preset = linear-4x\nP = 0.5\n", "P"),
+    ("preset = nonlinear-4x\nK = 4\n", "K"),
+    ("kind = linear\ndim = 1\nP = 0.5\nf = 4*x\nK = 4\n", "K"),
+    ("kind = nonlinear\ndim = 1\nK = 4\nf = 4*x\n", "f"),
+    ("kind = nonlinear\ndim = 1\nK = 4\nP = 0.5\n", "P"),
+])
+def test_model_key_the_route_does_not_read_exit_3(tmp_path, capsys, config, key):
+    (tmp_path / "run.cfg").write_text(config)
+    args = ["solve", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"config key {key!r} is not read" in err
+
+
+def test_preset_takes_mu_dim_and_n_from_the_config(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text("preset = linear-4x\nmu = 0.2\ndim = 1\nn = 100\n")
+    args = ["solve", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    assert len(read_csv(tmp_path / "density.csv")[1]) == 101
+
+
 def test_validate_takes_no_run_flags(capsys):
     assert main(["validate", "--preset", "linear-4x", "--grid", "5"]) == EXIT_CONFIG
     assert "unrecognized arguments" in capsys.readouterr().err

@@ -413,6 +413,22 @@ class TestNonlinearSolve:
             assert np.all(theta.values == 0.0)
 
 
+class TestPlateauDensity:
+    @pytest.mark.parametrize("model, dim, theta_bar, tol", [
+        (ModelSpec.linear(mu=0.1, P=0.5, f=2.0), 1, 1.0, 1e-9),
+        (ModelSpec.linear(mu=0.1, P=0.5, f=2.0), 2, 1.0, 1e-9),
+        (ModelSpec.nonlinear(mu=0.1, K=4.0), 1, 3.0, 1e-6),
+    ])
+    def test_payoff_of_the_plateau_density_is_flat(self, model, dim, theta_bar, tol):
+        # the rule the flow's redistribution rests on, apart from the flow:
+        # the plateau density at theta_bar has the payoff theta_bar
+        grid = make_grid(dim, 400 if dim == 1 else 40)
+        m = elliptic.plateau_density(model, grid, theta_bar)
+        assert isinstance(m, ScalarField) and m.grid is grid
+        theta = solve_payoff(model, m)
+        assert np.abs(theta.values - theta_bar).max() <= tol
+
+
 class TestResidual:
     def test_constant_cases(self):
         grid = make_grid(1, 300)

@@ -646,6 +646,9 @@ class TestCut:
         for eps in (whole, min(over, whole * (1.0 + 1e-13))):
             nu = check_plateau(m_plus, eps)[0].values
             assert np.abs(nu - height).max() <= 1e-9 * height.max()
+        # and no more: past it, the cut and the call alone both report a
+        # shortfall, with the plateau more or less than 256 nodes long
+        assert check_plateau(m_plus, whole / (1.0 - 2e-12)) is None
 
     def test_cut_of_another_iterate_rejected(self, grid, uniform):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
