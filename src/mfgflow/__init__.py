@@ -13,7 +13,7 @@ from .diagnostics import (
     refinement_study,
     stress_test,
 )
-from .eikonal import TargetSet, extract_target, solve_eikonal
+from .eikonal import extract_target, solve_eikonal
 from .elliptic import (
     ModelSpec,
     NonlinearSolveOptions,
@@ -63,7 +63,6 @@ __all__ = [
     "ScalarField",
     "SolverError",
     "StressRow",
-    "TargetSet",
     "TrivialBranchWarning",
     "build_model",
     "evaluate_expression",

@@ -3,11 +3,12 @@
 Subcommands: solve, refine, stress, trace, validate.  Each run input is
 declared once, in OPTIONS: its converter, default, flag, allowed values,
 environment variable and the subcommands that take it as a flag.  A run
-subcommand refuses a flag it would ignore, and `validate` reads no
-configuration.  Run inputs come from (lowest to highest precedence) the
-defaults, a flat ``key = value`` config file (any known key, for any run
-subcommand), the MFGFLOW_OUT / MFGFLOW_SEED environment variables, and
-flags; a value from any source is converted and checked by its entry.
+subcommand refuses a flag it would ignore, and eps0 or eps_min from any
+source beside fixed_eps; `validate` reads no configuration.  Run inputs
+come from (lowest to highest precedence) the defaults, a flat
+``key = value`` config file (any known key, for any run subcommand), the
+MFGFLOW_OUT / MFGFLOW_SEED environment variables, and flags; a value
+from any source is converted and checked by its entry.
 Floating values in every CSV are printed with 17 significant digits so
 identical configurations produce bit-identical files.
 
@@ -134,10 +135,10 @@ OPTIONS = (
     Option("variant", lambda text: text.replace("_", "-"), "best-response", flag="--variant",
            choices=("best-response", "eikonal"), commands=("solve", "refine", "trace")),
     Option("eps0", float, flag="--eps0", help="initial step mass"),
-    Option("eps_min", float, 1e-15, flag="--eps-min", commands=("solve", "stress", "trace")),
+    Option("eps_min", float, flag="--eps-min", commands=("solve", "stress", "trace")),
     Option("max_outer", int, 100, flag="--max-outer"),
-    Option("tau", lambda text: text if text == "dx" else float(text), "dx", flag="--tau",
-           help="residual tolerance, a float or 'dx'"),
+    Option("tau", lambda text: None if text == "dx" else float(text), flag="--tau",
+           help="residual tolerance, a float or 'dx' (the grid spacing)"),
     Option("seed", _at_least(0), 0, flag="--seed", env="MFGFLOW_SEED"),
     Option("fixed_eps", float, flag="--fixed-eps", commands=("solve", "stress", "trace"),
            help="disable adaptivity and use this step mass"),
@@ -190,6 +191,11 @@ def _resolve(args: argparse.Namespace) -> SimpleNamespace:
             texts[opt.key] = (os.environ[opt.env], opt.env)
         if getattr(args, opt.key, None) is not None:
             texts[opt.key] = (getattr(args, opt.key), opt.flag)
+    # a fixed-step run reads neither eps0 nor eps_min; refine sets its own fixed steps
+    for key in ("eps0", "eps_min"):
+        if key in texts and "fixed_eps" in texts and args.command != "refine":
+            source, fixed = texts[key][1], texts["fixed_eps"][1]
+            raise ConfigError(f"{source} is not read beside {fixed}")
     return SimpleNamespace(**{
         opt.key: opt.parse(*texts[opt.key]) if opt.key in texts else opt.default
         for opt in OPTIONS
@@ -228,10 +234,10 @@ def _materialize(rc: SimpleNamespace):
         flow_cfg = FlowConfig(
             variant=rc.variant.replace("-", "_"),
             eps0=rc.eps0 if rc.eps0 is not None else preset.default_eps0,
-            eps_min=rc.eps_min,
             max_outer=rc.max_outer,
-            tau=grid.spacing if rc.tau == "dx" else rc.tau,
+            tau=rc.tau,
             fixed_eps=rc.fixed_eps,
+            **({} if rc.eps_min is None else {"eps_min": rc.eps_min}),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -106,10 +106,14 @@ class IterationRecord:
 class FlowResult:
     m: Density
     theta: ScalarField
-    converged: bool
     records: list[IterationRecord]
     termination: str
     densities: list[np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def converged(self) -> bool:
+        """Whether the residual met tau."""
+        return self.termination == "converged"
 
     @property
     def iterations(self) -> int:
@@ -381,9 +385,9 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
     tau), "max_outer" (the outer cap was hit), "eps_exhausted" (eps
     fell below eps_min without lowering the residual), "shortfall" (the
     plateau cannot absorb a fixed step) or "solver_failed" (a payoff
-    solve after the first failed).  Non-convergence is a reported
-    outcome (converged=False plus that reason), not an exception; only
-    a failure of the initial payoff solve raises SolverError.
+    solve after the first failed); the result's converged reads it.
+    Non-convergence is a reported outcome, not an exception; only a
+    failure of the initial payoff solve raises SolverError.
     """
     grid = density_grid(m0)
     tau = cfg.tau if cfg.tau is not None else grid.spacing
@@ -436,13 +440,11 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
             if eps < cfg.eps_min:
                 termination = "eps_exhausted"
 
-    converged = resid <= tau
-    if termination is None:
-        termination = "converged" if converged else "max_outer"
+    if termination is None:  # set in the loop only while resid > tau
+        termination = "converged" if resid <= tau else "max_outer"
     return FlowResult(
         m=Density(np.maximum(m.values, 0.0), grid),
         theta=theta,
-        converged=converged,
         records=records,
         termination=termination,
         densities=densities,

@@ -34,7 +34,6 @@ from mfgflow import (
     w1_distance_1d,
 )
 from mfgflow.diagnostics import verification_checks
-from mfgflow.eikonal import TargetSet
 from mfgflow.elliptic import neumann_laplacian
 from mfgflow.measures import ScalarField
 from mfgflow.presets import PRESETS, build_model
@@ -347,7 +346,7 @@ class TestCriterion9Properties:
             idx = rng.choice(grid.n + 1, size=rng.integers(1, 5), replace=False)
             mask = np.zeros(grid.shape, dtype=bool)
             mask[idx] = True
-            v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0))
+            v = solve_eikonal(grid, mask)
             brute = np.min(np.abs(x[:, None] - x[idx][None, :]), axis=1)
             ok &= np.abs(v.values - brute).max() <= 1e-12
         errors = []
@@ -355,7 +354,7 @@ class TestCriterion9Properties:
             g2 = make_grid(2, n)
             mask = np.zeros(g2.shape, dtype=bool)
             mask[-1, -1] = True
-            v = solve_eikonal(g2, TargetSet(mask=mask, zeta=0.0))
+            v = solve_eikonal(g2, mask)
             X, Y = g2.coords()
             errors.append(np.abs(v.values - np.hypot(X - 1, Y - 1)).max())
         ok &= max(errors) <= 1e-12

@@ -229,6 +229,12 @@ def test_nonpositive_capacity_exit_3(tmp_path, capsys):
     (["solve"], "preset = nope\n", {}),
     (["solve", "--preset", "linear-4x"], "dump_eikonal = maybe\n", {}),
     (["solve", "--preset", "linear-4x"], "variant = sideways\n", {}),
+    (["solve"], "preset = linear-4x\nno equals sign\n", {}),
+    (["solve", "--config", "no-such-dir/run.cfg"], None, {}),
+    (["solve", "--preset", "linear-gauss2d", "--dim", "1"], None, {}),
+    (["solve"], "kind = linear\nP = 0.5\nf = 4*x\n", {}),
+    (["solve"], "kind = linear\ndim = 1\nf = 4*x\n", {}),
+    (["stress", "--preset", "linear-gauss2d", "--grid", "10"], None, {}),
 ])
 def test_invalid_run_input_exit_3(tmp_path, capsys, monkeypatch, args, config, env):
     for key, value in env.items():
@@ -265,6 +271,47 @@ def test_preset_takes_mu_dim_and_n_from_the_config(tmp_path, capsys):
     args = ["solve", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)]
     assert main(args) == EXIT_OK
     assert len(read_csv(tmp_path / "density.csv")[1]) == 101
+
+
+@pytest.mark.parametrize("command", ["solve", "stress", "trace"])
+@pytest.mark.parametrize("args, config, message", [
+    (["--fixed-eps", "0.05", "--eps0", "0.01"], None, "--eps0 is not read beside --fixed-eps"),
+    (["--fixed-eps", "0.05", "--eps-min", "1e-12"], None,
+     "--eps-min is not read beside --fixed-eps"),
+    (["--fixed-eps", "0.05"], "eps0 = 0.01\n",
+     "config key 'eps0' is not read beside --fixed-eps"),
+    ([], "fixed_eps = 0.05\neps_min = 1e-12\n",
+     "config key 'eps_min' is not read beside config key 'fixed_eps'"),
+])
+def test_step_bound_beside_fixed_eps_exit_3(tmp_path, capsys, command, args, config,
+                                            message):
+    # a fixed-step run reads neither eps0 nor eps_min
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "run.cfg")]
+    args = [command, "--preset", "linear-4x", *args, "--out", str(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {message}\n"
+
+
+def test_tau_dx_is_the_grid_spacing(tmp_path):
+    for tau in ("dx", "0.005"):
+        args = ["solve", "--preset", "linear-4x", "--grid", "200", "--tau", tau]
+        assert main(args + ["--out", str(tmp_path / tau)]) == EXIT_OK
+    for name in ("density.csv", "iterations.csv"):
+        dx, spacing = (tmp_path / tau / name for tau in ("dx", "0.005"))
+        assert dx.read_bytes() == spacing.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["solve", "refine", "stress", "trace"])
+def test_initial_solver_failure_exit_4(tmp_path, capsys, fail_payoff_solve, command):
+    fail_payoff_solve(1)
+    extra = {"refine": ["--levels", "1"], "stress": ["--seeds", "1"]}.get(command, [])
+    args = [command, "--preset", "linear-4x", "--grid", "200", *extra, "--out", str(tmp_path)]
+    assert main(args) == EXIT_SOLVER
+    assert capsys.readouterr().err.startswith("solver failure: payoff solve 1 failed")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_validate_takes_no_run_flags(capsys):

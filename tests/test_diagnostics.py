@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from mfgflow import (
+    PRESETS,
     FlowConfig,
     ModelSpec,
+    build_model,
     functional_trace,
+    integrate,
     make_grid,
     nash_certificate,
     nash_gap,
@@ -14,7 +17,7 @@ from mfgflow import (
     solve_linear,
     stress_test,
 )
-from mfgflow.diagnostics import StudyError, _sample_trajectory
+from mfgflow.diagnostics import StudyError
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +56,12 @@ class TestFunctionalTrace:
         assert phi[0] == result.records[0].sup_theta
         assert all(b < a for a, b in zip(phi, phi[1:]))
 
+    def test_result_without_records_rejected(self, grid, model, uniform):
+        result = run_flow(model, uniform, FlowConfig())
+        result.records = []
+        with pytest.raises(ValueError, match="no records"):
+            functional_trace(result, "best_response")
+
     def test_unknown_variant_rejected(self, grid, model, uniform):
         result = run_flow(model, uniform, FlowConfig())
         with pytest.raises(ValueError):
@@ -60,19 +69,37 @@ class TestFunctionalTrace:
 
 
 class TestRefinementStudy:
-    def test_identical_trajectories_have_zero_distance(self, grid):
-        densities = [np.ones(grid.shape), 2 * np.ones(grid.shape)]
-        for t in (0.0, 0.05, 0.3):
-            a = _sample_trajectory(densities, 0.1, t)
-            b = _sample_trajectory(densities, 0.1, t)
-            assert np.array_equal(a, b)
+    @pytest.mark.parametrize("variant", ["best_response", "eikonal"])
+    def test_sup_tv_matches_a_fine_time_grid(self, variant):
+        # the oracle reads each level's trajectory as a function of
+        # transported mass, m^j on [j eps, (j+1) eps), and samples the
+        # common window ten times per step of the finest level; on
+        # linear-sin the first pair's sup lies at the window's last step
+        grid = make_grid(1, 1000)
+        model = build_model(PRESETS["linear-sin"], grid)
+        m0 = normalize(np.ones(grid.shape), grid)
+        pairs, max_outer = 6, 100
+        study = refinement_study(model, m0, eps0=0.1, pairs=pairs, variant=variant,
+                                 max_outer=max_outer)
+        levels = []
+        for eps in study.epsilons:
+            cfg = FlowConfig(variant=variant, max_outer=max_outer, fixed_eps=eps,
+                             keep_trajectory=True)
+            levels.append((eps, run_flow(model, m0, cfg).densities))
+        horizon = min(eps * (len(traj) - 1) for eps, traj in levels)
+        finest = study.epsilons[-1]
+        times = np.linspace(0.0, horizon, 10 * round(horizon / finest) + 1)
 
-    def test_piecewise_constant_indexing(self, grid):
-        densities = [np.full(grid.shape, k) for k in range(4)]
-        assert _sample_trajectory(densities, 0.1, 0.0)[0] == 0
-        assert _sample_trajectory(densities, 0.1, 0.1)[0] == 1
-        assert _sample_trajectory(densities, 0.1, 0.19)[0] == 1
-        assert _sample_trajectory(densities, 0.1, 5.0)[0] == 3
+        def at(eps, traj, t):
+            # a sample on a step boundary belongs to the step it starts
+            return traj[min(int(t / eps + 1e-9), len(traj) - 1)]
+
+        oracle = [
+            max(integrate(np.abs(at(*a, t) - at(*b, t)), grid) for t in times)
+            for a, b in zip(levels, levels[1:])
+        ]
+        assert horizon == pytest.approx(max_outer * finest)
+        assert study.sup_tv == oracle
 
     def test_monotone_trend_linear(self, grid, model, uniform):
         study = refinement_study(model, uniform, eps0=0.1, pairs=3)

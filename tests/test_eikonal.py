@@ -6,33 +6,33 @@ import numpy as np
 import pytest
 
 import mfgflow
-from mfgflow import ScalarField, TargetSet, extract_target, make_grid, solve_eikonal
+from mfgflow import ScalarField, extract_target, make_grid, solve_eikonal
 
 
 def target_from_indices(grid, idx):
     mask = np.zeros(grid.shape, dtype=bool)
     mask[idx] = True
-    return TargetSet(mask=mask, zeta=0.0)
+    return mask
 
 
 class TestExtractTarget:
     def test_unique_maximizer(self):
         grid = make_grid(1, 100)
-        target = extract_target(ScalarField(grid.axes[0].copy(), grid))
-        assert target.mask.sum() == 1
-        assert target.mask[-1]
+        mask = extract_target(ScalarField(grid.axes[0].copy(), grid), zeta=0.0)
+        assert mask.sum() == 1
+        assert mask[-1]
 
     def test_exact_plateau(self):
         grid = make_grid(1, 100)
         theta = np.minimum(grid.axes[0], 0.8)
-        target = extract_target(ScalarField(theta, grid))
-        assert np.array_equal(target.mask, grid.axes[0] >= 0.8)
+        mask = extract_target(ScalarField(theta, grid), zeta=0.0)
+        assert np.array_equal(mask, grid.axes[0] >= 0.8)
 
     def test_disconnected_double_maximum(self):
         grid = make_grid(1, 100)
         theta = np.cos(2 * np.pi * grid.axes[0])
-        target = extract_target(ScalarField(theta, grid))
-        hits = np.where(target.mask)[0]
+        mask = extract_target(ScalarField(theta, grid), zeta=0.0)
+        hits = np.where(mask)[0]
         assert set(hits) == {0, grid.n}
 
     def test_rejects_nonfinite(self):
@@ -40,17 +40,22 @@ class TestExtractTarget:
         theta = np.zeros(grid.shape)
         theta[3] = np.nan
         with pytest.raises(ValueError):
-            extract_target(ScalarField(theta, grid))
+            extract_target(ScalarField(theta, grid), zeta=0.0)
 
     def test_rejects_negative_tolerance(self):
         grid = make_grid(1, 10)
-        with pytest.raises(ValueError):
-            extract_target(ScalarField(grid.axes[0].copy(), grid), zeta=-1.0)
+        for zeta in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="zeta must be nonnegative"):
+                extract_target(ScalarField(grid.axes[0].copy(), grid), zeta=zeta)
 
     def test_empty_target_impossible(self):
         grid = make_grid(1, 10)
-        with pytest.raises(ValueError):
-            TargetSet(mask=np.zeros(grid.shape, dtype=bool), zeta=0.0)
+        with pytest.raises(ValueError, match="nonempty"):
+            solve_eikonal(grid, np.zeros(grid.shape, dtype=bool))
+
+    def test_mask_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="does not match grid shape"):
+            solve_eikonal(make_grid(1, 10), np.ones(12, dtype=bool))
 
 
 def brute_force_distance(grid, mask):
@@ -92,7 +97,7 @@ def test_matches_brute_force_on_random_targets(dim, n):
         mask = np.zeros(grid.num_nodes, dtype=bool)
         mask[rng.choice(grid.num_nodes, size=count, replace=False)] = True
         mask = mask.reshape(grid.shape)
-        v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0))
+        v = solve_eikonal(grid, mask)
         assert np.abs(v.values - brute_force_distance(grid, mask)).max() <= 1e-12
 
 
@@ -101,7 +106,7 @@ class TestEikonal2D:
         grid = make_grid(2, 50)
         mask = np.zeros(grid.shape, dtype=bool)
         mask[-1, -1] = True
-        v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0))
+        v = solve_eikonal(grid, mask)
         X, Y = grid.coords()
         exact = np.hypot(X - 1.0, Y - 1.0)
         assert np.abs(v.values - exact).max() <= 1e-12
@@ -111,7 +116,7 @@ class TestEikonal2D:
             grid = make_grid(2, n)
             mask = np.zeros(grid.shape, dtype=bool)
             mask[-1, -1] = True
-            v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0))
+            v = solve_eikonal(grid, mask)
             X, Y = grid.coords()
             assert np.abs(v.values - np.hypot(X - 1.0, Y - 1.0)).max() <= 1e-12
 
@@ -120,7 +125,7 @@ class TestEikonal2D:
         mask = np.zeros(grid.shape, dtype=bool)
         mask[0, 0] = True
         mask[-1, -1] = True
-        v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0))
+        v = solve_eikonal(grid, mask)
         X, Y = grid.coords()
         exact = np.minimum(np.hypot(X, Y), np.hypot(X - 1.0, Y - 1.0))
         assert np.abs(v.values - exact).max() <= 1e-12
@@ -131,7 +136,7 @@ class TestEikonal2D:
         grid = make_grid(2, 10)
         mask = np.zeros(grid.shape, dtype=bool)
         mask[0, 0] = True
-        v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0)).values
+        v = solve_eikonal(grid, mask).values
         assert v[5, 0] == v[3, 4] == v[4, 3] == v[0, 5]
 
     def test_one_lipschitz_between_neighbors(self):
@@ -140,7 +145,7 @@ class TestEikonal2D:
         mask = np.zeros(grid.shape, dtype=bool)
         flat = rng.choice(grid.num_nodes, size=5, replace=False)
         mask.ravel()[flat] = True
-        v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0)).values
+        v = solve_eikonal(grid, mask).values
         dx = grid.spacing
         bound = (1.0 + 0.5 * dx) * dx
         assert np.abs(np.diff(v, axis=0)).max() <= bound
@@ -154,7 +159,7 @@ def test_import_and_2d_solve_load_no_heavy_scipy_modules():
         "import sys, numpy as np, mfgflow\n"
         "g = mfgflow.make_grid(2, 20)\n"
         "mask = np.zeros(g.shape, dtype=bool); mask[3, 7] = True\n"
-        "mfgflow.solve_eikonal(g, mfgflow.TargetSet(mask=mask, zeta=0.0))\n"
+        "mfgflow.solve_eikonal(g, mask)\n"
         "heavy = ('scipy.ndimage', 'scipy.spatial', 'scipy.optimize')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )

@@ -115,6 +115,22 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(kind="nonlinear", mu=0.1)
 
+    def test_linear_needs_p_and_f(self):
+        with pytest.raises(ValueError, match="linear model needs P and f"):
+            ModelSpec(kind="linear", mu=0.1, f=1.0)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown model kind 'quadratic'"):
+            ModelSpec(kind="quadratic", mu=0.1, K=1.0)
+
+    def test_solvers_refuse_the_other_kind(self):
+        grid = make_grid(1, 10)
+        m = normalize(np.ones(grid.shape), grid)
+        with pytest.raises(ValueError, match="solve_linear needs a linear model"):
+            solve_linear(ModelSpec.nonlinear(mu=0.1, K=1.0), m)
+        with pytest.raises(ValueError, match="solve_nonlinear needs a nonlinear model"):
+            solve_nonlinear(ModelSpec.linear(mu=0.1, P=0.5, f=1.0), m)
+
     @pytest.mark.parametrize(
         "K", [-1.0, 0.0, -np.ones(11), np.linspace(-1.0, 0.0, 11)],
         ids=["-1", "0", "negative-array", "ramp-to-0"],

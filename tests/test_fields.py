@@ -60,7 +60,7 @@ BARE_CALLS = {
     "select_farthest": lambda: select_farthest(BARE, V, 0.1),
     "select_farthest_income": lambda: select_farthest(M, V, 0.1, income=BARE),
     "redistribute": lambda: redistribute(BARE, THETA, LINEAR, 0.1),
-    "extract_target": lambda: extract_target(BARE),
+    "extract_target": lambda: extract_target(BARE, 0.0),
     "run_flow": lambda: run_flow(LINEAR, BARE, FlowConfig()),
     "refinement_study": lambda: refinement_study(LINEAR, BARE, pairs=1),
 }

@@ -234,6 +234,18 @@ class TestRedistribute:
             redistribute(field(grid, np.zeros(grid.shape)), theta, model, 1.5)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_moves_of_no_mass_rejected(grid, uniform, eps):
+    theta = field(grid, grid.axes[0])
+    model = ModelSpec.linear(mu=0.1, P=0.5, f=2.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        select_lowest_income(uniform, theta, eps)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        select_farthest(uniform, theta, eps)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        redistribute(uniform, theta, model, eps)
+
+
 def one_move(model, m, eps, variant="best_response"):
     """A single flow move of mass eps: one fixed step of run_flow."""
     cfg = FlowConfig(variant=variant, eps0=eps, fixed_eps=eps, max_outer=1)
@@ -306,6 +318,8 @@ class TestRunFlow:
         for fixed_eps in (0.0, -1.0, 2.0):
             with pytest.raises(ValueError):
                 FlowConfig(fixed_eps=fixed_eps)
+        with pytest.raises(ValueError, match="max_outer must be at least 1"):
+            FlowConfig(max_outer=0)
 
     def test_equilibrium_start_takes_no_steps(self, grid, uniform):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=2.0)

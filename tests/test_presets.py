@@ -53,6 +53,8 @@ class TestExpressionGrammar:
             "lambda: 1",
             "'str'",
             "open",
+            "4*",
+            "max(x, key=1)",
         ],
     )
     def test_outside_grammar_rejected(self, grid, expr):

@@ -16,7 +16,6 @@ from mfgflow import (
     FlowConfig,
     ModelSpec,
     ScalarField,
-    TargetSet,
     flow,
     integrate,
     make_grid,
@@ -131,7 +130,7 @@ def test_select_farthest_splits_m(case, data):
     targets = data.draw(st.lists(st.integers(0, grid.n), min_size=1, max_size=4))
     mask = np.zeros(grid.shape, dtype=bool)
     mask[targets] = True
-    v = solve_eikonal(grid, TargetSet(mask=mask, zeta=0.0))
+    v = solve_eikonal(grid, mask)
     assume(v.values[m.values > 0.0].max() > 0.0)
     # distance ties are common on a grid; the income field breaks them
     m_minus, m_plus, _ = select_farthest(m, v, eps, income=income)
