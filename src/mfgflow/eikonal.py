@@ -11,11 +11,12 @@ The squared distance separates by axis (Felzenszwalb & Huttenlocher,
 "Distance Transforms of Sampled Functions", Theory of Computing 8,
 2012): a first pass finds, along each column, the distance to the
 nearest target node, and a second pass minimizes (j-k)^2 + g[i,k]^2
-over k along each row.  Both passes work in node units, where squared
-distances are exact integers, and the result is scaled by dx only at
-the end, so geometrically tied nodes (offsets (5,0) and (3,4), say)
-receive bit-identical distances; the farthest-first selection relies
-on this when it breaks ties by income.
+along each row over the columns k that hold a target node.  Both
+passes work in node units, where squared distances are exact integers,
+and the result is scaled by dx only at the end, so geometrically tied
+nodes (offsets (5,0) and (3,4), say) receive bit-identical distances;
+the farthest-first selection relies on this when it breaks ties by
+income.
 """
 
 from __future__ import annotations
@@ -51,7 +52,11 @@ def solve_eikonal(grid: Grid, mask: np.ndarray) -> ScalarField:
     above = np.maximum.accumulate(np.where(mask, rows, -np.inf), axis=0)
     below = np.minimum.accumulate(np.where(mask, rows, np.inf)[::-1], axis=0)[::-1]
     g2 = np.square(np.minimum(rows - above, below - rows))
-    cols = np.arange(mask.shape[1], dtype=float)
+    # a column without a target node has g2 = inf and never wins the
+    # min, so the second pass runs over the target's columns alone
+    cols = np.flatnonzero(mask.any(axis=0))
+    g2 = g2[:, cols]
+    cols = cols.astype(float)
     d2 = np.empty(mask.shape)
     # one output column at a time keeps the temporary at the grid's size
     for j in range(mask.shape[1]):
