@@ -2,13 +2,14 @@
 
 Subcommands: solve, refine, stress, trace, validate.  Each run input is
 declared once, in OPTIONS: its converter, default, flag, allowed values,
-environment variable and the subcommands that take it as a flag.  A run
-subcommand refuses a flag it would ignore, and eps0 or eps_min from any
-source beside fixed_eps; `validate` reads no configuration.  Run inputs
-come from (lowest to highest precedence) the defaults, a flat
-``key = value`` config file (any known key, for any run subcommand), the
-MFGFLOW_OUT / MFGFLOW_SEED environment variables, and flags; a value
-from any source is converted and checked by its entry.
+environment variable and the subcommands that read it.  A run
+subcommand refuses an input it would ignore: a key, from any source,
+that its entry does not list the subcommand for, and eps0 or eps_min
+beside fixed_eps; `validate` reads no configuration.  Run inputs come
+from (lowest to highest precedence) the defaults, a flat
+``key = value`` config file, the MFGFLOW_OUT / MFGFLOW_SEED environment
+variables, and flags; a value from any source is converted and checked
+by its entry.
 Floating values in every CSV are printed with 17 significant digits so
 identical configurations produce bit-identical files.
 
@@ -100,7 +101,8 @@ def _switch(text):
 class Option:
     """One run input.  Every source hands over text; `convert` turns it
     into the value (ValueError if it cannot), which must then be one of
-    `choices` when those are given.  flag None: config file only."""
+    `choices` when those are given.  flag None: config file only.  A
+    subcommand outside `commands` refuses the key from every source."""
 
     key: str
     convert: Callable[[str], object] = str
@@ -191,9 +193,11 @@ def _resolve(args: argparse.Namespace) -> SimpleNamespace:
             texts[opt.key] = (os.environ[opt.env], opt.env)
         if getattr(args, opt.key, None) is not None:
             texts[opt.key] = (getattr(args, opt.key), opt.flag)
-    # a fixed-step run reads neither eps0 nor eps_min; refine sets its own fixed steps
+        if opt.key in texts and args.command not in opt.commands:
+            raise ConfigError(f"{texts[opt.key][1]} is not read by {args.command}")
+    # a fixed-step run reads neither eps0 nor eps_min
     for key in ("eps0", "eps_min"):
-        if key in texts and "fixed_eps" in texts and args.command != "refine":
+        if key in texts and "fixed_eps" in texts:
             source, fixed = texts[key][1], texts["fixed_eps"][1]
             raise ConfigError(f"{source} is not read beside {fixed}")
     return SimpleNamespace(**{

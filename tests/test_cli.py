@@ -266,6 +266,26 @@ def test_model_key_the_route_does_not_read_exit_3(tmp_path, capsys, config, key)
     assert f"config key {key!r} is not read" in err
 
 
+@pytest.mark.parametrize("command, config, key", [
+    # refine sets its own fixed steps eps0 / 2^k
+    ("refine", "fixed_eps = 0.9\n", "fixed_eps"),
+    ("refine", "eps_min = 0.05\n", "eps_min"),
+    ("solve", "seeds = 3\n", "seeds"),
+    ("solve", "levels = 4\n", "levels"),
+    # stress runs both variants
+    ("stress", "variant = eikonal\n", "variant"),
+    ("trace", "dump_eikonal = yes\n", "dump_eikonal"),
+])
+def test_config_key_the_subcommand_does_not_read_exit_3(tmp_path, capsys, command,
+                                                         config, key):
+    (tmp_path / "run.cfg").write_text("preset = linear-4x\nn = 100\n" + config)
+    args = [command, "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error: config key {key!r} is not read by {command}\n"
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_preset_takes_mu_dim_and_n_from_the_config(tmp_path, capsys):
     (tmp_path / "run.cfg").write_text("preset = linear-4x\nmu = 0.2\ndim = 1\nn = 100\n")
     args = ["solve", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path)]
