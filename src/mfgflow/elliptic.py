@@ -6,10 +6,14 @@ boundary conditions (second-order ghost-node reflection):
 * linear:    -mu Lap(theta) + P(x) theta = f(x) - m
 * nonlinear: -mu Lap(theta) = theta (K(x) - theta) - m theta
 
-The linear problem is a direct solve on a factorization cached per model
-and grid: LAPACK's tridiagonal LU (dgttrf/dgttrs) in 1D, SuperLU with
-MMD ordering in 2D.  The nonlinear problem is solved by minimizing the
-energy
+The linear problem is a direct solve.  In 1D it runs on LAPACK's
+tridiagonal LU (dgttrf/dgttrs), factorized once per model and grid.  In
+2D the node-centred -Lap with reflected Neumann rows is diagonalized by
+the two-dimensional type-1 discrete cosine transform (G. Strang, "The
+Discrete Cosine Transform", SIAM Review 41(1), 1999), so with P
+constant on the grid one transform pair solves the system exactly; a P
+that varies over the grid keeps a SuperLU factor per model and grid.
+The nonlinear problem is solved by minimizing the energy
 
     J(theta) = 1/2 int |grad theta|^2 - (1/mu) int F(theta),
 
@@ -17,24 +21,24 @@ with F the primitive (fixed by F(0)=0) of the right-hand side, under the
 constraint theta >= 0.  The nonlinear equation always admits the trivial
 branch theta == 0.  The minimization takes Newton directions: on 1D
 grids the exact one, from the tridiagonal Jacobian solved by LAPACK at
-every step, and on 2D grids chord ones (a factorized Jacobian reused
-while it keeps contracting the residual), each mixed with the
-previous chord step by depth-one Anderson acceleration.  It accepts a
-step only when a projected Armijo test on the exact energy increment
-passes, and starts from a positive initialization; a pure Newton
+every step, and on 2D grids an inexact one, from conjugate gradients
+preconditioned by the shifted -Lap through the cosine transform.  It
+accepts a step only when a projected Armijo test on the exact energy
+increment passes, and starts from a positive initialization; a pure Newton
 iteration on the equation would treat theta == 0 as just another root.
 K must be positive somewhere; otherwise theta == 0 is the only solution
 and the model is rejected.
 
 The operators a model needs on one grid (-Lap; in 1D, the three bands
-of the linear system or of -Lap; the factorized linear system; the
-coefficients P and f, or K, on the grid; or the latest factorized 2D
-Jacobian) are built once per model and grid and cached on the model.
+of the linear system or of -Lap; in 2D, the cosine-transform
+eigenvalues; the factorized linear system; the coefficients P and f,
+or K, on the grid) are built once per model and grid and cached on the
+model.  scipy.fft is imported on the first 2D solve, so that 1D runs
+never load it.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import numbers
 import warnings
@@ -71,10 +75,10 @@ class NonlinearSolveOptions:
     per-node grid weight, i.e. the solve stops once the strong-form
     stationarity residual max |Lap(theta) + F'(theta)/mu| drops below
     grad_tol / spacing^dim.  max_iters caps the Newton steps of one
-    descent.  Converging solves take at most 6 (exact steps, 1D) and 14
-    (mixed chord steps, 2D) in the tests, the benchmark and the
-    nonlinear-randcos2d payoffs of seeds 0-7 at 21^2 to 101^2 nodes;
-    the default leaves more than three times that.
+    descent.  Converging solves take at most 6 (exact steps, 1D) and 8
+    (inexact steps from conjugate gradients, 2D) in the tests, the
+    benchmark and the nonlinear-randcos2d payoffs of seeds 0-7 at 21^2
+    to 101^2 nodes; the default leaves more than three times that.
     """
 
     grad_tol: float = 1e-8
@@ -164,16 +168,20 @@ def neumann_laplacian(grid: Grid) -> sp.csr_matrix:
     return (sp.kron(lap1, eye) + sp.kron(eye, lap1)).tocsr()
 
 
-# A chord-Newton step that cuts max |g| by less than this factor
-# triggers a refactorization of the Jacobian at the next iterate.
-CHORD_CONTRACTION = 2.0
+# The 2D Newton direction's conjugate gradients stop once the residual
+# of J d = g falls below this fraction of g, in the weighted norm, or
+# after NEWTON_CG_MAX_ITERS steps.
+NEWTON_CG_RTOL = 1e-2
+NEWTON_CG_MAX_ITERS = 100
 
 # Positive floor of a nonlinear solve's cold start (see solve_nonlinear).
 INIT_FLOOR = 1e-3
 
 # Accepted normwise backward error of a linear solve, in units of the
-# unit roundoff.  Correct solves of every preset measure at most 5.7 in
-# 2D; the 1D dgttrs solves measure at most 1.23 / 1.42 / 1.27 / 1.76 at
+# unit roundoff.  Correct 2D solves measure at most 4.8 on the cosine
+# transform (both linear 2D presets, flows at 101^2 and single solves
+# at 201^2 and 401^2) and 4.4 on SuperLU (P = 0.5 + x + y, flows at
+# 41^2 and 101^2); the 1D dgttrs solves measure at most 1.23 / 1.42 / 1.27 / 1.76 at
 # n = 1e3 / 1e4 / 1e5 / 1e6 (three linear presets, uniform and two
 # random densities).
 BACKWARD_ERROR_FACTOR = 64.0
@@ -193,28 +201,17 @@ class _Operators:
     P: np.ndarray | None
     f: np.ndarray | None
     K: np.ndarray | None
-    # factorization of system (dgttrf's outputs in 1D, SuperLU in 2D),
-    # or the harvesting model's latest 2D chord Jacobian (None until
-    # its first solve)
+    # factorization of system: dgttrf's outputs in 1D, SuperLU in 2D
+    # when P varies over the grid; None otherwise
     lu: object
     norm: float | None  # max row sum of system
-
-
-# SuperLU reserves a factor's storage at a fill estimate and touches
-# only part of it.  glibc keeps freed heap pages resident, so a factor
-# that lands elsewhere in the pages earlier factors touched grows the
-# resident set with every refactorization.  Returning the free pages to
-# the system before each factorization keeps the peak at live memory.
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):  # not glibc
-    _malloc_trim = None
+    # on a 2D grid, the eigenvalues in the cosine basis of system (linear
+    # model with constant P) or of lap (harvesting model); None otherwise
+    eig: np.ndarray | None
 
 
 def _factorize(matrix: sp.csc_matrix):
     """SuperLU factor of a 2D operator, in the MMD ordering of A^T + A."""
-    if _malloc_trim is not None:
-        _malloc_trim(0)
     try:
         return splu(matrix, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # singular factorization
@@ -231,11 +228,34 @@ def _bands(matrix):
     return matrix.diagonal(-1), matrix.diagonal(), matrix.diagonal(1)
 
 
+def _laplacian_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues of the 2D -Lap in the type-1 cosine basis, one per node.
+
+    cos(pi j i / n) over the nodes i = 0..n is an eigenvector of the 1D
+    -Lap with reflected Neumann rows, with eigenvalue
+    (2 - 2 cos(pi j / n)) / dx^2; the 2D operator is the Kronecker sum.
+    """
+    lam = (2.0 - 2.0 * np.cos(np.pi * np.arange(grid.n + 1) / grid.n)) / grid.spacing**2
+    return lam[:, None] + lam[None, :]
+
+
+def _dct_solve(eig: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the 2D system whose cosine-basis eigenvalues are eig.
+
+    dctn and idctn of type 1 are an exact inverse pair; scipy.fft is
+    imported here, on the first 2D solve, since it costs about 70 ms.
+    """
+    from scipy.fft import dctn, idctn
+
+    return idctn(dctn(rhs, type=1) / eig, type=1, overwrite_x=True)
+
+
 def _operators(model: ModelSpec, grid: Grid) -> _Operators:
     key = (grid.dim, grid.n)
     ops = model._cache.get(key)
     if ops is None:
         lap = neumann_laplacian(grid)
+        bands = lu = eig = None
         if model.kind == "linear":
             P = model.coefficient("P", grid)
             system = (model.mu * lap + sp.diags(P.ravel())).tocsc()
@@ -243,29 +263,37 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
                 bands = _bands(system)
                 *lu, info = dgttrf(*bands)
                 _check_pivots(info)
+            elif P.min() == P.max():
+                eig = model.mu * _laplacian_eigenvalues(grid) + P.flat[0]
             else:
-                bands, lu = None, _factorize(system)
+                lu = _factorize(system)
             ops = _Operators(
                 lap, bands, system, P, model.coefficient("f", grid), None, lu,
-                float(abs(system).sum(axis=1).max()),
+                float(abs(system).sum(axis=1).max()), eig,
             )
         else:
-            bands = _bands(lap) if grid.dim == 1 else None
+            if grid.dim == 1:
+                bands = _bands(lap)
+            else:
+                eig = _laplacian_eigenvalues(grid)
             K = model.coefficient("K", grid)
-            ops = _Operators(lap, bands, None, None, None, K, None, None)
+            ops = _Operators(lap, bands, None, None, None, K, None, None, eig)
         model._cache[key] = ops
     return ops
 
 
 def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
-    """Solve -mu Lap(theta) + P theta = f - m by direct factorization.
+    """Solve -mu Lap(theta) + P theta = f - m by a direct method.
 
-    The factorized operator and f on the grid are cached on the model
-    (they depend only on the grid, mu, P and f).  In 1D the operator is
-    tridiagonal: it is factorized by LAPACK's dgttrf and solved by
-    dgttrs, and its product with theta is taken on its three bands.  In
-    2D it is factorized by SuperLU in the MMD ordering of A^T + A, the
-    ordering of the harvesting model's Jacobian.  The solve is accepted
+    The operator, in the form its solve needs, and f on the grid are
+    cached on the model (they depend only on the grid, mu, P and f).  In
+    1D the operator is tridiagonal: it is factorized by LAPACK's dgttrf
+    and solved by dgttrs, and its product with theta is taken on its
+    three bands.  In 2D with P constant on the grid the operator is
+    diagonal in the type-1 cosine basis, with eigenvalues
+    mu (lambda_j + lambda_k) + P, and one transform pair solves it; a P
+    that varies over the grid is factorized by SuperLU in the MMD
+    ordering of A^T + A.  The solve is accepted
     when its normwise backward error is a small multiple of the unit
     roundoff:
     ||A theta - b|| <= BACKWARD_ERROR_FACTOR * u * (||A|| ||theta|| + ||b||)
@@ -279,7 +307,10 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
     ops = _operators(model, grid)
     rhs = (ops.f - m.values).ravel()
     if ops.bands is None:
-        theta = ops.lu.solve(rhs)
+        if ops.eig is None:
+            theta = ops.lu.solve(rhs)
+        else:
+            theta = _dct_solve(ops.eig, rhs.reshape(grid.shape)).ravel()
         product = ops.system @ theta
     else:
         theta, _ = dgttrs(*ops.lu, rhs)
@@ -317,20 +348,11 @@ def solve_nonlinear(
     its Jacobian.  On a 1D grid J is tridiagonal, so solving it costs
     about as much as one factor solve: every step takes the exact
     Newton direction from LAPACK's dgtsv, and no factor is kept.  On a
-    2D grid the steps are chord-Newton: J is factorized at some earlier
-    iterate, cached with the model's operators and reused across solves;
-    it is rebuilt at the current iterate when the last step cut max |g|
-    by less than CHORD_CONTRACTION, or when the cached factor gives no
-    descent direction.  The chord iteration is a fixed-point map, and
-    each chord step d after the first since a factorization is replaced
-    by its Anderson(1) mixing with the previous iterate and chord step
-    (see _mixed_step), unless the mixed step is not finite or gives no
-    descent direction.  That history is cleared at every factorization
-    and at the start of every descent.  A cold solve (no theta0, or the
-    cold retry) factorizes at its first step, so its result depends on
-    its inputs alone.  A step is accepted only when the exact energy
-    increment passes the Armijo test; the raw gradient is tried when the
-    Newton direction fails it.
+    2D grid the direction is an inexact Newton one from conjugate
+    gradients (see _newton_cg), which keep no state between steps or
+    solves.  A step is accepted only when the exact energy increment
+    passes the Armijo test; the raw gradient is tried when the Newton
+    direction fails it.
 
     Initialization is max(K - m, INIT_FLOOR) unless theta0 (a warm
     start) is supplied; the positive start and the energy test steer
@@ -340,7 +362,7 @@ def solve_nonlinear(
     Returns the zero field (with a TrivialBranchWarning) when the solve
     collapses onto the trivial branch, i.e. when no positive solution is
     found.  Raises SolverError if max_iters is exhausted, the line search
-    stalls or a Jacobian is singular.
+    stalls or a 1D Jacobian is singular.
     """
     if model.kind != "nonlinear":
         raise ValueError("solve_nonlinear needs a nonlinear model")
@@ -366,59 +388,21 @@ def solve_nonlinear(
     energy_increment = partial(_energy_increment, lap, w, K, m_vals, mu)
 
     def curvature(theta):
-        return ((K - 2.0 * theta - m_vals) / mu).ravel()
+        return (K - 2.0 * theta - m_vals) / mu
 
-    def exact_direction(theta, g, size, last):
-        lower, diag, upper = ops.bands
-        return _solve_tridiagonal(lower, diag - curvature(theta), upper, g)
+    def newton_direction(theta, g):
+        if grid.dim == 1:
+            lower, diag, upper = ops.bands
+            return _solve_tridiagonal(lower, diag - curvature(theta), upper, g)
+        return _newton_cg(lap, ops.eig, w, curvature(theta), g)
 
-    # the previous iterate of this descent and its chord step, both
-    # since the last factorization; None when there is no such iterate
-    previous = None
-
-    def refactor(theta):
-        nonlocal previous
-        previous = None
-        ops.lu = None  # release the old factor before building the new one
-        jacobian = (lap - sp.diags(curvature(theta))).tocsc()
-        ops.lu = _factorize(jacobian)
-
-    def chord_solve(g):
-        return ops.lu.solve(g.ravel()).reshape(grid.shape)
-
-    def chord_direction(theta, g, size, last):
-        nonlocal previous
-        fresh = ops.lu is None or size * CHORD_CONTRACTION > last
-        if fresh:
-            refactor(theta)
-        step = chord_solve(g)
-        if not fresh and np.sum(w * g * step) <= 0.0:
-            refactor(theta)  # the stale factor gives no descent direction
-            step = chord_solve(g)
-        direction = step
-        if previous is not None:
-            mixed = _mixed_step(theta, step, *previous)
-            if np.sum(w * g * mixed) > 0.0:  # else not a descent direction
-                direction = mixed
-        previous = theta, step
-        return direction
-
-    newton_direction = exact_direction if grid.dim == 1 else chord_direction
-
-    def descend(theta, cold):
-        nonlocal previous
-        previous = None  # the mixing history never crosses descents
-        if cold:
-            ops.lu = None  # a cold solve depends on its inputs alone
-        last = np.inf
+    def descend(theta):
         for _ in range(opts.max_iters):
             g = strong_grad(theta)
-            size = np.abs(g).max()
-            if size <= strong_tol:
+            if np.abs(g).max() <= strong_tol:
                 return theta
-            direction = newton_direction(theta, g, size, last)
+            direction = newton_direction(theta, g)
             theta = _armijo_step(theta, g, direction, w, energy_increment)
-            last = size
         raise SolverError(
             "nonlinear solve did not converge within max_iters",
             last_iterate=ScalarField(theta, grid),
@@ -428,9 +412,9 @@ def solve_nonlinear(
     collapsed = 10.0 * INIT_FLOOR
     cold = np.maximum(K - m_vals, INIT_FLOOR)
     warm = theta0 is not None and theta0.values.max() > INIT_FLOOR
-    theta = descend(np.maximum(theta0.values, 0.0) if warm else cold, cold=not warm)
+    theta = descend(np.maximum(theta0.values, 0.0) if warm else cold)
     if theta.max() <= collapsed and warm:
-        theta = descend(cold, cold=True)  # the warm start collapsed; retry cold
+        theta = descend(cold)  # the warm start collapsed; retry cold
     if theta.max() <= collapsed:
         warnings.warn(
             "nonlinear payoff solve returned the trivial zero branch",
@@ -451,23 +435,40 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     return x.reshape(rhs.shape)
 
 
-def _mixed_step(theta, step, theta_prev, step_prev):
-    """Anderson(1) (secant) mixing of a chord step with the previous one.
+def _newton_cg(lap, eig, w, c, g):
+    """Approximate solution d of (-Lap - diag(c)) d = g on a 2D grid.
 
-    The chord iteration is the fixed-point map theta -> theta - step;
-    depth-one Anderson mixing (Walker & Ni 2011) replaces its step by
-    step - gamma (dstep - dtheta), where dstep and dtheta are the changes
-    since the previous iterate and gamma = <dstep, step> / <dstep, dstep>
-    minimizes the norm of step - gamma dstep.  Returns step itself when
-    the mixed step is not finite.
+    Conjugate gradients in the inner product <u, v> = sum(w u v) of the
+    quadrature weights w, in which -Lap, and so the Jacobian, is
+    self-adjoint.  The preconditioner is (-Lap + sigma)^-1, applied
+    through the cosine transform (eig holds the eigenvalues of -Lap),
+    with sigma = max(mean(-c), 1).  The iteration stops once the
+    residual's weighted norm is at most NEWTON_CG_RTOL times that of g,
+    or after NEWTON_CG_MAX_ITERS steps.  On non-positive curvature it
+    stops too and returns the last iterate, or g when there is none.  Every iterate d has
+    <g, d> > 0, so it is a descent direction of the energy.
     """
-    d_step = step - step_prev
-    denom = float(np.vdot(d_step, d_step))
-    if not denom > 0.0:
-        return step
-    gamma = float(np.vdot(d_step, step)) / denom
-    mixed = step - gamma * (d_step - (theta - theta_prev))
-    return mixed if np.isfinite(mixed).all() else step
+    precond = eig + max(float(np.mean(-c)), 1.0)
+    stop = NEWTON_CG_RTOL**2 * np.sum(w * g * g)
+    d = None
+    r = g
+    z = _dct_solve(precond, r)
+    p = z
+    rz = np.sum(w * r * z)
+    for _ in range(NEWTON_CG_MAX_ITERS):
+        q = (lap @ p.ravel()).reshape(p.shape) - c * p
+        curvature = np.sum(w * p * q)
+        if not curvature > 0.0:
+            break
+        alpha = rz / curvature
+        d = alpha * p if d is None else d + alpha * p
+        r = r - alpha * q
+        if np.sum(w * r * r) <= stop:
+            break
+        z = _dct_solve(precond, r)
+        rz, rz_prev = np.sum(w * r * z), rz
+        p = z + (rz / rz_prev) * p
+    return g if d is None else d
 
 
 def _energy_increment(lap, w, K, m, mu, theta, delta):

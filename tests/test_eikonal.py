@@ -154,13 +154,19 @@ class TestEikonal2D:
 
 def test_import_and_2d_solve_load_no_heavy_scipy_modules():
     # scipy.ndimage alone adds about 0.1 s and 5 MB to every start-up;
-    # scipy.optimize is used by the min-max-income test oracle only
+    # scipy.optimize is used by the min-max-income test oracle only;
+    # scipy.fft (about 70 ms) is imported by the first 2D payoff solve,
+    # so neither the 2D distance field nor a 1D payoff solve loads it
     script = (
         "import sys, numpy as np, mfgflow\n"
         "g = mfgflow.make_grid(2, 20)\n"
         "mask = np.zeros(g.shape, dtype=bool); mask[3, 7] = True\n"
         "mfgflow.solve_eikonal(g, mask)\n"
-        "heavy = ('scipy.ndimage', 'scipy.spatial', 'scipy.optimize')\n"
+        "g1 = mfgflow.make_grid(1, 50)\n"
+        "m = mfgflow.normalize(np.ones(g1.shape), g1)\n"
+        "mfgflow.solve_payoff(mfgflow.ModelSpec.linear(mu=0.1, P=0.5, f=2.0), m)\n"
+        "mfgflow.solve_payoff(mfgflow.ModelSpec.nonlinear(mu=0.1, K=4.0), m)\n"
+        "heavy = ('scipy.ndimage', 'scipy.spatial', 'scipy.optimize', 'scipy.fft')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(mfgflow.__file__))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import splu, spsolve
 
 from mfgflow import (
     FlowConfig,
@@ -206,13 +206,18 @@ class TestLinearSolve:
         # nodes up to O(dx_coarse^2)
         assert np.abs(theta[::10] - theta_c).max() <= 10 * coarse.spacing**2
 
-    @pytest.mark.parametrize("dim,n", [(1, 1000), (2, 30)], ids=["1d", "2d"])
-    def test_corrupted_factorization_raises(self, monkeypatch, dim, n):
+    @pytest.mark.parametrize(
+        "dim,n,varying_P", [(1, 1000, False), (2, 30, False), (2, 30, True)],
+        ids=["1d", "2d", "2d-varying-P"],
+    )
+    def test_corrupted_factorization_raises(self, monkeypatch, dim, n, varying_P):
         grid = make_grid(dim, n)
-        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.coords()[0])
-        # factor an operator whose diagonal is off by 1e-6: the solve then
-        # misses the right-hand side by about 1e-6 * |theta|, far above
-        # the roundoff level of a correct solve
+        X = grid.coords()[0]
+        P = 0.5 + X + grid.coords()[-1] if varying_P else 0.5
+        model = ModelSpec.linear(mu=0.1, P=P, f=4.0 * X)
+        # solve with an operator whose diagonal is off by 1e-6: the solve
+        # then misses the right-hand side by about 1e-6 * |theta|, far
+        # above the roundoff level of a correct solve
         if dim == 1:  # LAPACK's tridiagonal factorization
             dgttrf = elliptic.dgttrf
 
@@ -220,27 +225,35 @@ class TestLinearSolve:
                 return dgttrf(dl, d + 1e-6, du)
 
             monkeypatch.setattr(elliptic, "dgttrf", corrupted_dgttrf)
-        else:
+        elif varying_P:  # SuperLU
             def corrupted_splu(A, **options):
                 return splu(A + 1e-6 * sp.identity(A.shape[0], format="csc"), **options)
 
             monkeypatch.setattr(elliptic, "splu", corrupted_splu)
+        else:  # the cached cosine-transform eigenvalues
+            ops = elliptic._operators(model, grid)
+            monkeypatch.setattr(ops, "eig", ops.eig + 1e-6)
         with pytest.raises(SolverError, match="exceeds tolerance"):
             solve_linear(model, uniform(grid))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("dim,n", [(1, 200), (2, 20)], ids=["1d", "2d"])
-    def test_non_finite_solve_raises(self, monkeypatch, dim, n, bad):
+    @pytest.mark.parametrize(
+        "dim,n,varying_P", [(1, 200, False), (2, 20, False), (2, 20, True)],
+        ids=["1d", "2d", "2d-varying-P"],
+    )
+    def test_non_finite_solve_raises(self, monkeypatch, dim, n, varying_P, bad):
         # one non-finite node of the solution fails the solve as not
         # finite, rather than as a residual over a non-finite tolerance
         grid = make_grid(dim, n)
-        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.coords()[0])
+        X = grid.coords()[0]
+        P = 0.5 + X + grid.coords()[-1] if varying_P else 0.5
+        model = ModelSpec.linear(mu=0.1, P=P, f=4.0 * X)
         m = uniform(grid)
-        solve_linear(model, m)  # factorizes and caches the operator
+        solve_linear(model, m)  # builds and caches the operator
 
         def spoiled(theta):
             theta = theta.copy()
-            theta[theta.size // 2] = bad
+            theta.flat[theta.size // 2] = bad
             return theta
 
         if dim == 1:  # LAPACK's tridiagonal solve
@@ -251,7 +264,7 @@ class TestLinearSolve:
                 return spoiled(theta), info
 
             monkeypatch.setattr(elliptic, "dgttrs", spoiled_dgttrs)
-        else:  # the cached SuperLU factor's solve
+        elif varying_P:  # the cached SuperLU factor's solve
             ops = elliptic._operators(model, grid)
 
             class SpoiledFactor:
@@ -259,9 +272,34 @@ class TestLinearSolve:
                     return spoiled(lu.solve(rhs))
 
             monkeypatch.setattr(ops, "lu", SpoiledFactor())
+        else:  # the cosine-transform solve
+            dct_solve = elliptic._dct_solve
+            monkeypatch.setattr(
+                elliptic, "_dct_solve", lambda eig, rhs: spoiled(dct_solve(eig, rhs))
+            )
         with pytest.raises(SolverError, match="linear solve is not finite") as failed:
             solve_linear(model, m)
         assert not np.isfinite(failed.value.residual)
+
+    @pytest.mark.parametrize("varying_P", [False, True], ids=["constant-P", "varying-P"])
+    def test_2d_solve_matches_sparse_solve(self, varying_P):
+        # constant P takes the cosine transform, P = 0.5 + x + y SuperLU
+        grid = make_grid(2, 40)
+        X, Y = grid.coords()
+        P = 0.5 + X + Y if varying_P else 1.0
+        f = 15.0 * (np.cos(np.pi * X) * np.cos(np.pi * Y) + 1.0)
+        model = ModelSpec.linear(mu=0.1, P=P, f=f)
+        m = normalize(np.random.default_rng(3).uniform(0.1, 1.0, grid.shape), grid)
+        theta = solve_linear(model, m).values
+        diag = sp.diags(np.broadcast_to(P, grid.shape).ravel())
+        system = (0.1 * neumann_laplacian(grid) + diag).tocsc()
+        want = spsolve(system, (model.f - m.values).ravel()).reshape(grid.shape)
+        assert np.abs(theta - want).max() <= 1e-12 * np.abs(want).max()
+        assert (elliptic._operators(model, grid).lu is None) is not varying_P
+
+    def test_singular_factorization_raises(self):
+        with pytest.raises(SolverError, match="payoff operator is singular"):
+            elliptic._factorize(sp.csc_matrix(np.ones((2, 2))))
 
     def test_1d_solve_matches_dense_solve(self):
         grid = make_grid(1, 400)
@@ -535,36 +573,20 @@ def strong_tol(grid):
     return 0.1 * NonlinearSolveOptions().grad_tol / grid.spacing**grid.dim
 
 
-class TestChordNewton:
-    def test_flow_reuses_the_jacobian(self, factorizations, monkeypatch):
-        solves = []
-        solve = elliptic.solve_nonlinear
-
-        def counting_solve(*args, **kwargs):
-            solves.append(None)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(elliptic, "solve_nonlinear", counting_solve)
-        # chord steps, and so a reused factor, are taken on 2D grids only
-        grid = make_grid(2, 20)
-        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.coords()[0])
-        result = run_flow(model, uniform(grid), FlowConfig(eps0=0.25))
-        assert result.converged
-        assert 0 < len(factorizations) < len(solves)
-
+class TestNewtonDescent:
     def test_far_warm_start_reaches_tolerance(self):
         self.check_far_warm_start(make_grid(1, 300))
 
     def test_far_warm_start_reaches_tolerance_2d(self):
-        # a Jacobian factor, and with it a mixing history, exists in 2D only
+        # the 2D directions come from conjugate gradients, not dgtsv
         self.check_far_warm_start(make_grid(2, 20))
 
     @staticmethod
     def check_far_warm_start(grid):
         x = grid.coords()[0]
         model = ModelSpec.nonlinear(mu=0.1, K=4.0 * x)
-        # a warm start from the payoff of a far density, with the
-        # Jacobian factor of that density's solve still cached
+        # a warm start from the payoff of a far density, solved on the
+        # same model
         far = solve_nonlinear(model, normalize(np.exp(-50.0 * x), grid))
         m = normalize(np.exp(-50.0 * (1.0 - x)), grid)
         theta = solve_nonlinear(model, m, theta0=far)
@@ -574,10 +596,10 @@ class TestChordNewton:
         assert pde_residual(model, m, theta) <= strong_tol(grid)
         assert np.abs(theta.values - cold.values).max() <= 1e-6
 
-    def test_cold_solve_ignores_the_cached_factor(self):
+    def test_cold_solve_ignores_earlier_solves(self):
         self.check_cold_solve(make_grid(1, 200))
 
-    def test_cold_solve_ignores_the_cached_factor_2d(self):
+    def test_cold_solve_ignores_earlier_solves_2d(self):
         self.check_cold_solve(make_grid(2, 20))
 
     @staticmethod
@@ -589,27 +611,13 @@ class TestChordNewton:
         fresh = solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=4.0 * x), m)
         assert np.array_equal(solve_nonlinear(model, m).values, fresh.values)
 
-    def test_mixed_step_falls_back_to_the_chord_step(self):
-        theta, theta_prev = np.array([1.0, 2.0]), np.zeros(2)
-        step = np.array([0.5, -0.25])
-        # the step did not change since the previous iterate: no secant
-        assert elliptic._mixed_step(theta, step, theta_prev, step.copy()) is step
-        # with step_prev = 0 the mixed step is theta itself, here not finite
-        theta = np.array([np.inf, 2.0])
-        assert elliptic._mixed_step(theta, step, theta_prev, np.zeros(2)) is step
-
-    def test_singular_factorization_raises(self):
-        with pytest.raises(SolverError, match="payoff operator is singular"):
-            elliptic._factorize(sp.csc_matrix(np.ones((2, 2))))
-
     @pytest.mark.parametrize(
-        "variant, plain_chord_steps",
-        # the Armijo steps these runs took with unmixed chord steps; with
-        # either kind of step they accept 15 / 14 flow steps
-        [("best_response", 204), ("eikonal", 203)],
+        "variant, chord_steps",
+        # the Armijo steps these runs took with Anderson-mixed chord steps
+        # (204 / 203 with unmixed ones); all three accept 15 / 14 flow steps
+        [("best_response", 149), ("eikonal", 117)],
     )
-    def test_mixed_steps_descend_in_fewer_steps(self, monkeypatch, variant,
-                                                plain_chord_steps):
+    def test_cg_steps_descend_in_fewer_steps(self, monkeypatch, variant, chord_steps):
         slopes = []
         armijo_step = elliptic._armijo_step
 
@@ -623,7 +631,7 @@ class TestChordNewton:
         config = FlowConfig(variant=variant, eps0=preset.default_eps0)
         assert run_flow(build_model(preset, grid), uniform(grid), config).converged
         assert all(slope > 0.0 for slope in slopes)
-        assert 0 < len(slopes) < plain_chord_steps
+        assert 0 < len(slopes) < chord_steps
 
     @pytest.mark.parametrize(
         "seed, peak",
@@ -648,43 +656,95 @@ class TestChordNewton:
         pde_residual(model, uniform(grid), ones(grid))
         assert factorizations == []
 
-    @pytest.mark.parametrize(
-        "planted", [0.0, -1e5], ids=["indefinite", "negative-definite"]
-    )
-    def test_stale_factor_is_refactored(self, factorizations, planted):
-        grid = make_grid(2, 20)  # a factor is cached on 2D grids only
+    def test_only_a_varying_p_2d_solve_factorizes(self, factorizations):
+        # 2D harvesting and constant-P linear solves run on the cosine
+        # transform; a P that varies over the grid is factorized once
+        grid = make_grid(2, 20)
+        X, Y = grid.coords()
+        solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=4.0 * X), uniform(grid))
+        solve_linear(ModelSpec.linear(mu=0.1, P=1.0, f=1.0), uniform(grid))
+        assert factorizations == []
+        varying = ModelSpec.linear(mu=0.1, P=0.5 + X + Y, f=1.0)
+        for _ in range(2):
+            solve_linear(varying, uniform(grid))
+        assert factorizations == [{"permc_spec": "MMD_AT_PLUS_A"}]
+
+
+def cg_problem(c):
+    """-Lap, its cosine eigenvalues and the weights on a 20^2 grid, a
+    smooth right-hand side g, and the product with J = -Lap - diag(c)."""
+    grid = make_grid(2, 20)
+    X, Y = grid.coords()
+    lap, w = neumann_laplacian(grid), grid.quad_weights
+    c = np.broadcast_to(c(X), grid.shape)
+    g = 1.0 + np.cos(np.pi * X) * np.cos(2.0 * np.pi * Y)
+
+    def jacobian(v):
+        return (lap @ v.ravel()).reshape(v.shape) - c * v
+
+    return lap, elliptic._laplacian_eigenvalues(grid), w, c, g, jacobian
+
+
+class TestNewtonCG:
+    def test_positive_jacobian_meets_the_tolerance(self):
+        # c < 0 everywhere: J is positive definite
+        lap, eig, w, c, g, jacobian = cg_problem(lambda X: -5.0 - 10.0 * X)
+        d = elliptic._newton_cg(lap, eig, w, c, g)
+        r = g - jacobian(d)
+        assert np.sum(w * g * d) > 0.0
+        assert np.sum(w * r * r) <= elliptic.NEWTON_CG_RTOL**2 * np.sum(w * g * g)
+        exact = spsolve((lap - sp.diags(c.ravel())).tocsc(), g.ravel()).reshape(g.shape)
+        assert np.abs(d - exact).max() <= 0.1 * np.abs(exact).max()
+
+    def test_negative_curvature_at_once_returns_g(self):
+        # J negative definite: the first direction has negative curvature
+        lap, eig, w, c, g, _ = cg_problem(lambda X: np.full(X.shape, 1e5))
+        assert elliptic._newton_cg(lap, eig, w, c, g) is g
+
+    def test_negative_curvature_later_returns_the_last_iterate(self, monkeypatch):
+        # J indefinite: one step has positive curvature, the second not
+        lap, eig, w, c, g, jacobian = cg_problem(lambda X: 40.0 * np.cos(np.pi * X))
+        preconditioned = []
+        dct_solve = elliptic._dct_solve
+
+        def counting_solve(eig, rhs):
+            preconditioned.append(rhs)
+            return dct_solve(eig, rhs)
+
+        monkeypatch.setattr(elliptic, "_dct_solve", counting_solve)
+        d = elliptic._newton_cg(lap, eig, w, c, g)
+        assert len(preconditioned) == 2 and d is not g
+        assert np.sum(w * g * d) > 0.0
+        # the first step alone: d = alpha M^-1 g with alpha > 0
+        z = dct_solve(eig + max(np.mean(-c), 1.0), g)
+        alpha = np.sum(w * d * z) / np.sum(w * z * z)
+        assert alpha > 0.0 and np.abs(d - alpha * z).max() <= 1e-12 * np.abs(d).max()
+        r = g - jacobian(d)
+        assert np.sum(w * r * r) > elliptic.NEWTON_CG_RTOL**2 * np.sum(w * g * g)
+
+    def test_indefinite_start_reaches_the_cold_solution(self, monkeypatch):
+        # a warm start far below the solution, where J is indefinite, so
+        # that conjugate gradients meet non-positive curvature
+        grid = make_grid(2, 20)
         x = grid.coords()[0]
         K = 4.0 * x
-        model = ModelSpec.nonlinear(mu=0.1, K=K)
         m = uniform(grid)
         cold = solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=K), m)
-        # plant the Jacobian at theta == planted: at 0 it is indefinite,
-        # at -1e5 negative definite, so its direction is an ascent one
-        ops = elliptic._operators(model, grid)
-        curvature = (K - 2.0 * planted - m.values) / 0.1
-        ops.lu = splu((ops.lap - sp.diags(curvature.ravel())).tocsc())
-        factorizations.clear()
-        start = ScalarField(cold.values + 0.5 * np.cos(np.pi * x), grid)
+        fallbacks = []
+        newton_cg = elliptic._newton_cg
+
+        def recording_cg(lap, eig, w, c, g):
+            d = newton_cg(lap, eig, w, c, g)
+            fallbacks.append(d is g)
+            return d
+
+        monkeypatch.setattr(elliptic, "_newton_cg", recording_cg)
+        start = ScalarField(0.1 * cold.values, grid)
+        model = ModelSpec.nonlinear(mu=0.1, K=K)
         theta = solve_nonlinear(model, m, theta0=start)
-        assert len(factorizations) >= 1
+        assert any(fallbacks)
         assert pde_residual(model, m, theta) <= strong_tol(grid)
         assert np.abs(theta.values - cold.values).max() <= 1e-6
-
-    def test_solves_without_heap_trim_match(self, monkeypatch):
-        # returning free heap pages before a factorization is glibc-only;
-        # elsewhere it is skipped, and no solve may depend on it
-        grid = make_grid(1, 200)
-        K = 4.0 * grid.axes[0]
-        m = uniform(grid)
-
-        def solves():
-            return [solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=K), m).values,
-                    solve_linear(ModelSpec.linear(mu=0.1, P=0.5, f=1.0), m).values]
-
-        trimmed = solves()
-        monkeypatch.setattr(elliptic, "_malloc_trim", None)
-        for a, b in zip(trimmed, solves()):
-            assert np.array_equal(a, b)
 
 
 class TestTridiagonalNewton:
@@ -700,11 +760,6 @@ class TestTridiagonalNewton:
         solve_linear(linear, uniform(grid))
         assert run_flow(linear, uniform(grid), FlowConfig()).converged
         assert factorizations == []
-        grid = make_grid(2, 20)
-        solve_nonlinear(ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.coords()[0]), uniform(grid))
-        assert len(factorizations) >= 1
-        solve_linear(ModelSpec.linear(mu=0.1, P=1.0, f=1.0), uniform(grid))
-        assert all(options == {"permc_spec": "MMD_AT_PLUS_A"} for options in factorizations)
 
     def test_direction_is_the_exact_newton_direction(self, monkeypatch):
         grid = make_grid(1, 50)
