@@ -43,7 +43,6 @@ from .measures import (
     random_density,
     support,
     tv_distance,
-    w1_distance_1d,
 )
 from .presets import PRESETS, build_model, evaluate_expression
 
@@ -87,5 +86,4 @@ __all__ = [
     "stress_test",
     "support",
     "tv_distance",
-    "w1_distance_1d",
 ]

@@ -11,9 +11,10 @@ The squared distance separates by axis (Felzenszwalb & Huttenlocher,
 "Distance Transforms of Sampled Functions", Theory of Computing 8,
 2012): a first pass finds, along each column, the distance to the
 nearest target node, and a second pass minimizes (j-k)^2 + g[i,k]^2
-along each row over the columns k that hold a target node.  Both
-passes work in node units, where squared distances are exact integers,
-and the result is scaled by dx only at the end, so geometrically tied
+along each row over the columns k that hold a target node.  A 1D grid
+is one column, so its field is the first pass alone.  Both passes work
+in node units, where squared distances are exact integers, and the
+result is scaled by dx only at the end, so geometrically tied
 nodes (offsets (5,0) and (3,4), say) receive bit-identical distances;
 the farthest-first selection relies on this when it breaks ties by
 income.
@@ -45,13 +46,16 @@ def solve_eikonal(grid: Grid, mask: np.ndarray) -> ScalarField:
         raise ValueError("target mask does not match grid shape")
     if not mask.any():
         raise ValueError("target set must be nonempty")
-    # a 1D grid is one column: the first pass is then already exact and
-    # the second pass runs once
     mask = mask.reshape(grid.n + 1, -1)
     rows = np.arange(mask.shape[0], dtype=float)[:, None]
     above = np.maximum.accumulate(np.where(mask, rows, -np.inf), axis=0)
     below = np.minimum.accumulate(np.where(mask, rows, np.inf)[::-1], axis=0)[::-1]
-    g2 = np.square(np.minimum(rows - above, below - rows))
+    gap = np.minimum(rows - above, below - rows)
+    if grid.dim == 1:
+        # a 1D grid is one column, on which the first pass is already
+        # exact: the second pass would only square and root its integers
+        return ScalarField(gap.reshape(grid.shape) * grid.spacing, grid)
+    g2 = np.square(gap)
     # a column without a target node has g2 = inf and never wins the
     # min, so the second pass runs over the target's columns alone
     cols = np.flatnonzero(mask.any(axis=0))

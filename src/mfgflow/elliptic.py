@@ -29,12 +29,12 @@ iteration on the equation would treat theta == 0 as just another root.
 K must be positive somewhere; otherwise theta == 0 is the only solution
 and the model is rejected.
 
-The operators a model needs on one grid (-Lap; in 1D, the three bands
-of the linear system or of -Lap; in 2D, the cosine-transform
-eigenvalues; the factorized linear system; the coefficients P and f,
-or K, on the grid) are built once per model and grid and cached on the
-model.  scipy.fft is imported on the first 2D solve, so that 1D runs
-never load it.
+The operators a model needs on one grid (-Lap and the linear system,
+as their three bands on a 1D grid, where no sparse matrix is built; in
+2D, the cosine-transform eigenvalues; the factorized linear system; the
+coefficients P and f, or K, on the grid) are built once per model and
+grid and cached on the model.  scipy.fft is imported on the first 2D
+solve, so that 1D runs never load it.
 """
 
 from __future__ import annotations
@@ -150,22 +150,41 @@ class ModelSpec:
         return np.broadcast_to(np.asarray(getattr(self, name), dtype=float), grid.shape)
 
 
-def neumann_laplacian(grid: Grid) -> sp.csr_matrix:
-    """Matrix of -Lap with ghost-node reflected Neumann rows.
-
-    Acts on flattened node values; interior rows are the central
-    second-difference stencil, boundary rows use theta[-1] = theta[1].
+def _laplacian_bands(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sub-, main and superdiagonal of the 1D -Lap: the central stencil,
+    with theta[-1] = theta[1] in the boundary rows.  The 1 / dx^2 is
+    multiplied in, as scipy.sparse divides a matrix by a scalar.
     """
-    n, dx = grid.n, grid.spacing
+    n, scale = grid.n, 1 / grid.spacing**2
     lower = np.full(n, -1.0)
     upper = np.full(n, -1.0)
     lower[-1] = upper[0] = -2.0  # reflected ghost nodes of rows n and 0
-    lap1 = sp.diags([lower, np.full(n + 1, 2.0), upper], [-1, 0, 1], format="csr")
-    lap1 = lap1 / dx**2
+    return lower * scale, np.full(n + 1, 2.0) * scale, upper * scale
+
+
+def neumann_laplacian(grid: Grid) -> sp.csr_matrix:
+    """Matrix of -Lap with ghost-node reflected Neumann rows.
+
+    Acts on flattened node values; the solvers build it in 2D only.
+    """
+    lap1 = sp.diags(_laplacian_bands(grid), [-1, 0, 1], format="csr")
     if grid.dim == 1:
         return lap1
-    eye = sp.identity(n + 1, format="csr")
+    eye = sp.identity(grid.n + 1, format="csr")
     return (sp.kron(lap1, eye) + sp.kron(eye, lap1)).tocsr()
+
+
+def _product(op, x: np.ndarray) -> np.ndarray:
+    """Product of a sparse matrix, or of its three bands on a 1D grid,
+    with node values x.  The bands add a CSR row's terms in its order.
+    """
+    if type(op) is not tuple:
+        return (op @ x.ravel()).reshape(x.shape)
+    lower, diag, upper = op
+    out = diag * x
+    out[1:] += lower * x[:-1]
+    out[:-1] += upper * x[1:]
+    return out
 
 
 # The 2D Newton direction's conjugate gradients stop once the residual
@@ -192,11 +211,10 @@ _BACKWARD_ERROR_UNIT = BACKWARD_ERROR_FACTOR * np.finfo(float).eps / 2.0
 class _Operators:
     """What a model needs on one grid, built once and cached on the model."""
 
-    lap: sp.csr_matrix  # -Lap with reflected Neumann rows
-    # on a 1D grid, sub-, main and superdiagonal of system (linear
-    # model) or of lap (harvesting model); None in 2D
-    bands: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    system: sp.csc_matrix | None  # mu (-Lap) + diag(P); None for the harvesting model
+    # -Lap with reflected Neumann rows, and mu (-Lap) + diag(P) (None for
+    # the harvesting model): sparse in 2D, (sub, main, super) bands in 1D
+    lap: tuple | sp.csr_matrix
+    system: tuple | sp.csc_matrix | None
     # the model's coefficients on the grid (P and f linear, K harvesting)
     P: np.ndarray | None
     f: np.ndarray | None
@@ -204,7 +222,7 @@ class _Operators:
     # factorization of system: dgttrf's outputs in 1D, SuperLU in 2D
     # when P varies over the grid; None otherwise
     lu: object
-    norm: float | None  # max row sum of system
+    norm: float | None  # max row sum of |system|
     # on a 2D grid, the eigenvalues in the cosine basis of system (linear
     # model with constant P) or of lap (harvesting model); None otherwise
     eig: np.ndarray | None
@@ -222,10 +240,6 @@ def _check_pivots(info):
     """Raise SolverError on an exactly zero LAPACK pivot, as a singular splu does."""
     if info > 0:
         raise SolverError(f"payoff operator is singular: zero pivot in row {info}")
-
-
-def _bands(matrix):
-    return matrix.diagonal(-1), matrix.diagonal(), matrix.diagonal(1)
 
 
 def _laplacian_eigenvalues(grid: Grid) -> np.ndarray:
@@ -254,30 +268,34 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
     key = (grid.dim, grid.n)
     ops = model._cache.get(key)
     if ops is None:
-        lap = neumann_laplacian(grid)
-        bands = lu = eig = None
+        lap = _laplacian_bands(grid) if grid.dim == 1 else neumann_laplacian(grid)
+        lu = eig = None
         if model.kind == "linear":
             P = model.coefficient("P", grid)
-            system = (model.mu * lap + sp.diags(P.ravel())).tocsc()
             if grid.dim == 1:
-                bands = _bands(system)
-                *lu, info = dgttrf(*bands)
+                # the bands and row sums of |system| equal those of the
+                # assembled (mu lap + diag(P)).tocsc() to the bit
+                lower, diag, upper = (model.mu * band for band in lap)
+                system = (lower, diag + P, upper)
+                *lu, info = dgttrf(*system)
                 _check_pivots(info)
-            elif P.min() == P.max():
-                eig = model.mu * _laplacian_eigenvalues(grid) + P.flat[0]
+                norm = _product(tuple(map(np.abs, system)), np.ones(grid.shape))
             else:
-                lu = _factorize(system)
+                system = (model.mu * lap + sp.diags(P.ravel())).tocsc()
+                norm = abs(system).sum(axis=1)
+                if P.min() == P.max():
+                    eig = model.mu * _laplacian_eigenvalues(grid) + P.flat[0]
+                else:
+                    lu = _factorize(system)
             ops = _Operators(
-                lap, bands, system, P, model.coefficient("f", grid), None, lu,
-                float(abs(system).sum(axis=1).max()), eig,
+                lap, system, P, model.coefficient("f", grid), None, lu,
+                float(norm.max()), eig,
             )
         else:
-            if grid.dim == 1:
-                bands = _bands(lap)
-            else:
+            if grid.dim == 2:
                 eig = _laplacian_eigenvalues(grid)
             K = model.coefficient("K", grid)
-            ops = _Operators(lap, bands, None, None, None, K, None, None, eig)
+            ops = _Operators(lap, None, None, None, K, None, None, eig)
         model._cache[key] = ops
     return ops
 
@@ -306,18 +324,13 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
     grid = grid_of(m)
     ops = _operators(model, grid)
     rhs = (ops.f - m.values).ravel()
-    if ops.bands is None:
-        if ops.eig is None:
-            theta = ops.lu.solve(rhs)
-        else:
-            theta = _dct_solve(ops.eig, rhs.reshape(grid.shape)).ravel()
-        product = ops.system @ theta
-    else:
+    if grid.dim == 1:
         theta, _ = dgttrs(*ops.lu, rhs)
-        lower, diag, upper = ops.bands
-        product = diag * theta
-        product[1:] += lower * theta[:-1]
-        product[:-1] += upper * theta[1:]
+    elif ops.eig is None:
+        theta = ops.lu.solve(rhs)
+    else:
+        theta = _dct_solve(ops.eig, rhs.reshape(grid.shape)).ravel()
+    product = _product(ops.system, theta)
     # ufunc reductions straight, without the ndarray.max wrapper
     resid = np.maximum.reduce(np.abs(product - rhs))
     theta_norm = np.maximum.reduce(np.abs(theta))
@@ -344,10 +357,11 @@ def solve_nonlinear(
 
     Projected Newton descent with Armijo backtracking.  The direction
     solves J d = g, where g is the strong-form energy gradient
-    -Lap(theta) - F'(theta)/mu and J = -Lap - diag((K - 2 theta - m)/mu)
-    its Jacobian.  On a 1D grid J is tridiagonal, so solving it costs
-    about as much as one factor solve: every step takes the exact
-    Newton direction from LAPACK's dgtsv, and no factor is kept.  On a
+    -Lap(theta) - F'(theta)/mu and J = -Lap - diag(F''(theta)/mu) its
+    Jacobian; each step evaluates F'(theta) and F''(theta) once, and g,
+    J and its energy increments share them.  On a 1D grid J is
+    tridiagonal: every step takes the exact Newton direction from
+    LAPACK's dgtsv on the bands of -Lap, and no factor is kept.  On a
     2D grid the direction is an inexact Newton one from conjugate
     gradients (see _newton_cg), which keep no state between steps or
     solves.  A step is accepted only when the exact energy increment
@@ -376,37 +390,31 @@ def solve_nonlinear(
     mu = model.mu
     strong_tol = opts.grad_tol / grid.spacing**grid.dim
 
-    def fprime(theta):
-        # right-hand side theta(K - theta) - m theta; its primitive
-        # (fixed by F(0) = 0) is K theta^2/2 - theta^3/3 - m theta^2/2
-        return theta * (K - theta) - m_vals * theta
-
     def strong_grad(theta):
+        # F'(theta), the right-hand side, whose primitive (fixed by
+        # F(0) = 0) is K theta^2/2 - theta^3/3 - m theta^2/2, and the
         # residual of -Lap(theta) - F'(theta)/mu, nodewise
-        return (lap @ theta.ravel()).reshape(grid.shape) - fprime(theta) / mu
-
-    energy_increment = partial(_energy_increment, lap, w, K, m_vals, mu)
-
-    def curvature(theta):
-        return (K - 2.0 * theta - m_vals) / mu
-
-    def newton_direction(theta, g):
-        if grid.dim == 1:
-            lower, diag, upper = ops.bands
-            return _solve_tridiagonal(lower, diag - curvature(theta), upper, g)
-        return _newton_cg(lap, ops.eig, w, curvature(theta), g)
+        fprime = theta * (K - theta) - m_vals * theta
+        return fprime, _product(lap, theta) - fprime / mu
 
     def descend(theta):
         for _ in range(opts.max_iters):
-            g = strong_grad(theta)
-            if np.abs(g).max() <= strong_tol:
+            fprime, g = strong_grad(theta)
+            # ufunc reductions straight, without the ndarray.max wrapper
+            if np.maximum.reduce(np.abs(g), axis=None) <= strong_tol:
                 return theta
-            direction = newton_direction(theta, g)
-            theta = _armijo_step(theta, g, direction, w, energy_increment)
+            fsecond = K - 2.0 * theta - m_vals
+            if grid.dim == 1:
+                lower, diag, upper = lap
+                direction = _solve_tridiagonal(lower, diag - fsecond / mu, upper, g)
+            else:
+                direction = _newton_cg(lap, ops.eig, w, fsecond / mu, g)
+            increment = partial(_energy_increment, lap, w, mu, fprime, fsecond)
+            theta = _armijo_step(theta, g, direction, w, increment)
         raise SolverError(
             "nonlinear solve did not converge within max_iters",
             last_iterate=ScalarField(theta, grid),
-            residual=float(np.abs(strong_grad(theta)).max()),
+            residual=float(np.abs(strong_grad(theta)[1]).max()),
         )
 
     collapsed = 10.0 * INIT_FLOOR
@@ -456,7 +464,7 @@ def _newton_cg(lap, eig, w, c, g):
     p = z
     rz = np.sum(w * r * z)
     for _ in range(NEWTON_CG_MAX_ITERS):
-        q = (lap @ p.ravel()).reshape(p.shape) - c * p
+        q = _product(lap, p) - c * p
         curvature = np.sum(w * p * q)
         if not curvature > 0.0:
             break
@@ -471,22 +479,19 @@ def _newton_cg(lap, eig, w, c, g):
     return g if d is None else d
 
 
-def _energy_increment(lap, w, K, m, mu, theta, delta):
+def _energy_increment(lap, w, mu, fprime, fsecond, theta, delta):
     """Exact J(theta+delta) - J(theta) of the harvesting energy.
 
     The objective is cubic in theta, so the difference has a closed form
-    free of the large-magnitude cancellation of evaluating J twice.
+    in F'(theta) and F''(theta), free of the cancellation of taking J twice.
     """
-    quad = delta.ravel() @ (w.ravel() * (lap @ (theta + 0.5 * delta).ravel()))
+    quad = delta.ravel() @ (w * _product(lap, theta + 0.5 * delta)).ravel()
     # numpy sends an array **3 to libm pow per element, about 50x slower
     # than multiplying; delta**2 is np.square, bit-equal to delta * delta
     d2 = delta * delta
-    d_primitive = (
-        (theta * (K - theta) - m * theta) * delta
-        + 0.5 * (K - 2.0 * theta - m) * d2
-        - d2 * delta / 3.0
-    )
-    return quad - np.sum(w * d_primitive) / mu
+    d_primitive = fprime * delta + 0.5 * fsecond * d2 - d2 * delta / 3.0
+    # np.add.reduce is what np.sum calls, without its wrapper
+    return quad - np.add.reduce(w * d_primitive, axis=None) / mu
 
 
 def _armijo_step(theta, g, direction, w, energy_increment, sigma=1e-4):
@@ -494,12 +499,13 @@ def _armijo_step(theta, g, direction, w, energy_increment, sigma=1e-4):
     falling back to the raw gradient.  Sufficient decrease is tested on
     the exact energy increment.  Raises SolverError when no step passes.
     """
+    wg = w * g
     for d in (direction, g):
         alpha = 1.0
         for _ in range(60):
             cand = np.maximum(theta - alpha * d, 0.0)
             delta = cand - theta
-            decrease = np.sum(w * g * delta)
+            decrease = np.add.reduce(wg * delta, axis=None)
             if decrease < 0.0 and energy_increment(theta, delta) <= sigma * decrease:
                 return cand
             alpha /= 2.0
@@ -511,7 +517,7 @@ def pde_residual(model: ModelSpec, m: ScalarField, theta: ScalarField) -> float:
     grid = grid_of(m, theta)
     m_vals, th = m.values, theta.values
     ops = _operators(model, grid)
-    lap_theta = (ops.lap @ th.ravel()).reshape(grid.shape)
+    lap_theta = _product(ops.lap, th)
     if model.kind == "linear":
         res = model.mu * lap_theta + ops.P * th - (ops.f - m_vals)
     else:

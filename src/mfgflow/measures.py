@@ -118,21 +118,6 @@ def tv_distance(m1: ScalarField, m2: ScalarField) -> float:
     return integrate(np.abs(m1.values - m2.values), grid)
 
 
-def w1_distance_1d(m1: ScalarField, m2: ScalarField) -> float:
-    """1-Wasserstein distance between 1D densities via their CDFs.
-
-    Computes the integral over [0,1] of |M1 - M2| where M_i is the
-    cumulative (trapezoidal) integral of m_i.  Only defined in 1D.
-    """
-    grid = grid_of(m1, m2)
-    if grid.dim != 1:
-        raise ValueError("w1_distance_1d is only defined on 1D grids")
-    diff = m1.values - m2.values
-    dx = grid.spacing
-    cdf = np.concatenate(([0.0], np.cumsum(dx * 0.5 * (diff[:-1] + diff[1:]))))
-    return integrate(np.abs(cdf), grid)
-
-
 def support(m: ScalarField) -> np.ndarray:
     """Boolean mask of nodes carrying mass above SUPPORT_THRESHOLD * max(m)."""
     grid_of(m)

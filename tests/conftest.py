@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from mfgflow import SolverError, flow
+from mfgflow import SolverError, flow, integrate
 
 
 @pytest.fixture
@@ -20,3 +21,17 @@ def fail_payoff_solve(monkeypatch):
         monkeypatch.setattr(flow, "solve_payoff", failing)
 
     return install
+
+
+@pytest.fixture
+def w1_distance():
+    """1-Wasserstein distance between two densities on one 1D grid: the
+    quadrature of |M1 - M2|, M_i the trapezoidal CDF of m_i."""
+
+    def w1(m1, m2):
+        grid = m1.grid
+        diff = m1.values - m2.values
+        steps = grid.spacing * 0.5 * (diff[:-1] + diff[1:])
+        return integrate(np.abs(np.concatenate(([0.0], np.cumsum(steps)))), grid)
+
+    return w1

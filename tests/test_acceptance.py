@@ -31,7 +31,6 @@ from mfgflow import (
     stress_test,
     support,
     tv_distance,
-    w1_distance_1d,
 )
 from mfgflow.diagnostics import verification_checks
 from mfgflow.elliptic import neumann_laplacian
@@ -297,7 +296,7 @@ class TestCriterion9Properties:
         report(9, ok, "geodesic convexity of sup-norm on 100 random triples")
         assert ok
 
-    def test_lipschitz_in_w1(self, small):
+    def test_lipschitz_in_w1(self, small, w1_distance):
         grid, lipschitz = small
         model = ModelSpec.linear(mu=0.1, P=0.5, f=1.0)
         ok = True
@@ -308,7 +307,7 @@ class TestCriterion9Properties:
                 solve_linear(model, m1).values
                 - solve_linear(model, m2).values
             ).max()
-            ok &= gap <= 1.1 * lipschitz * w1_distance_1d(m1, m2)
+            ok &= gap <= 1.1 * lipschitz * w1_distance(m1, m2)
         report(9, ok, f"payoff Lipschitz in W1 with calibrated C={lipschitz:.3f}")
         assert ok
 

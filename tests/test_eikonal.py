@@ -101,6 +101,17 @@ def test_matches_brute_force_on_random_targets(dim, n):
         assert np.abs(v.values - brute_force_distance(grid, mask)).max() <= 1e-12
 
 
+def test_1d_field_is_the_node_count_times_dx():
+    # the 1D field skips the second pass, which would square and root
+    # exact integers: it stays a whole number of nodes times dx, to the bit
+    grid = make_grid(1, 317)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[[3, 40, 41, 300]] = True
+    nodes = np.arange(grid.num_nodes)
+    count = np.abs(nodes[:, None] - np.flatnonzero(mask)[None, :]).min(axis=1)
+    assert np.array_equal(solve_eikonal(grid, mask).values, count * grid.spacing)
+
+
 class TestEikonal2D:
     def test_corner_target_against_brute_force(self):
         grid = make_grid(2, 50)

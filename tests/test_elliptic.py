@@ -24,7 +24,6 @@ from mfgflow import (
     solve_linear,
     solve_nonlinear,
     solve_payoff,
-    w1_distance_1d,
 )
 from mfgflow import elliptic
 from mfgflow.elliptic import neumann_laplacian
@@ -307,7 +306,7 @@ class TestLinearSolve:
         model = ModelSpec.linear(mu=0.1, P=0.5 + x, f=15.0 * (np.cos(2.0 * np.pi * x) + 1.0))
         m = random_density(3, grid)
         theta = solve_linear(model, m).values
-        system = elliptic._operators(model, grid).system
+        system = 0.1 * neumann_laplacian(grid) + sp.diags(model.P)
         want = np.linalg.solve(system.toarray(), model.f - m.values)
         assert np.abs(theta - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -353,7 +352,7 @@ def calibration():
 
 class TestLinearBounds:
 
-    def test_lipschitz_in_w1(self, calibration):
+    def test_lipschitz_in_w1(self, calibration, w1_distance):
         grid, _, lip = calibration
         model = ModelSpec.linear(mu=0.1, P=0.5, f=1.0)
         for seed in range(100):
@@ -363,7 +362,7 @@ class TestLinearBounds:
                 solve_linear(model, m1).values
                 - solve_linear(model, m2).values
             ).max()
-            assert gap <= 1.1 * lip * w1_distance_1d(m1, m2)
+            assert gap <= 1.1 * lip * w1_distance(m1, m2)
 
     def test_uniform_bound(self, calibration):
         grid, gmax, _ = calibration
@@ -526,6 +525,8 @@ class TestResidual:
 
 class TestOperatorCache:
     def test_laplacian_built_once_per_model_and_grid(self, monkeypatch):
+        # a 1D grid keeps -Lap as bands and builds no sparse matrix; a
+        # 2D grid builds the sparse -Lap once per model
         builds = []
 
         def counting_laplacian(grid):
@@ -533,14 +534,44 @@ class TestOperatorCache:
             return neumann_laplacian(grid)
 
         monkeypatch.setattr(elliptic, "neumann_laplacian", counting_laplacian)
-        grid = make_grid(1, 200)
-        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.axes[0])
-        m = uniform(grid)
-        theta = solve_nonlinear(model, m)
-        for _ in range(3):
-            theta = solve_nonlinear(model, m, theta0=theta)
-            pde_residual(model, m, theta)
-        assert builds == [(1, 200)]
+        for grid in (make_grid(1, 200), make_grid(2, 20)):
+            x = grid.coords()[0]
+            m = uniform(grid)
+            models = (ModelSpec.nonlinear(mu=0.1, K=4.0 * x),
+                      ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * x))
+            for model in models:
+                theta = solve_payoff(model, m)
+                for _ in range(3):
+                    theta = solve_payoff(model, m, theta0=theta)
+                    pde_residual(model, m, theta)
+        assert builds == [(2, 20), (2, 20)]
+
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_band_product_matches_the_sparse_product(self, n):
+        grid = make_grid(1, n)
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=grid.shape)
+        x[rng.uniform(size=grid.shape) < 0.3] = 0.0
+        x[0] = 0.0
+        bands = elliptic._laplacian_bands(grid)
+        assert np.array_equal(elliptic._product(bands, x), neumann_laplacian(grid) @ x)
+
+    @pytest.mark.parametrize("n", [2, 3, 1000, 100000])
+    @pytest.mark.parametrize("varying_P", [False, True], ids=["constant-P", "varying-P"])
+    def test_1d_system_bands_match_the_sparse_system(self, n, varying_P):
+        # the bands and norm built from -Lap's bands are those the
+        # assembled sparse system gives
+        grid = make_grid(1, n)
+        x = grid.axes[0]
+        P = 0.5 + x * x if varying_P else 0.5
+        model = ModelSpec.linear(mu=0.1, P=P, f=1.0)
+        ops = elliptic._operators(model, grid)
+        system = (
+            0.1 * neumann_laplacian(grid) + sp.diags(model.coefficient("P", grid))
+        ).tocsc()
+        want = (system.diagonal(-1), system.diagonal(), system.diagonal(1))
+        assert all(np.array_equal(a, b) for a, b in zip(ops.system, want, strict=True))
+        assert ops.norm == float(abs(system).sum(axis=1).max())
 
     def test_reused_model_matches_fresh_model(self):
         K = 4.0  # a scalar coefficient lets one model serve every grid
@@ -813,6 +844,8 @@ def test_energy_increment_matches_exact_difference(dim, n):
     rng = np.random.default_rng(3)
     lap, w, mu = neumann_laplacian(grid), grid.quad_weights, 0.1
     K = 1.0 + 3.0 * rng.uniform(size=grid.shape)
+    # the operator the solve uses: -Lap's bands in 1D, sparse in 2D
+    ops_lap = elliptic._operators(ModelSpec.nonlinear(mu=mu, K=K), grid).lap
     m = uniform(grid).values * rng.uniform(0.5, 1.5, grid.shape)
     theta = rng.uniform(0.0, 2.0, grid.shape)
     # a small step that projects about a third of the nodes onto 0, and
@@ -826,8 +859,11 @@ def test_energy_increment_matches_exact_difference(dim, n):
 
     exact = [[Fraction(v) for v in a.ravel()] for a in (w, K, m)]
     th = [Fraction(v) for v in theta.ravel()]
+    # F'(theta) and F''(theta), as the Newton step shares them
+    fprime = theta * (K - theta) - m * theta
+    fsecond = K - 2.0 * theta - m
     for delta in (small, large):
-        got = elliptic._energy_increment(lap, w, K, m, mu, theta, delta)
+        got = elliptic._energy_increment(ops_lap, w, mu, fprime, fsecond, theta, delta)
         moved = [t + Fraction(d) for t, d in zip(th, delta.ravel())]
         want = (exact_energy(lap, *exact, Fraction(mu), moved)
                 - exact_energy(lap, *exact, Fraction(mu), th))

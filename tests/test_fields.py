@@ -32,7 +32,6 @@ from mfgflow import (
     solve_payoff,
     support,
     tv_distance,
-    w1_distance_1d,
 )
 
 GRID = make_grid(1, 20)
@@ -47,7 +46,6 @@ BARE = np.ones(GRID.shape)
 # each call passes the bare array where one field is expected
 BARE_CALLS = {
     "tv_distance": lambda: tv_distance(M, BARE),
-    "w1_distance_1d": lambda: w1_distance_1d(BARE, M),
     "support": lambda: support(BARE),
     "nash_gap": lambda: nash_gap(THETA, BARE),
     "nash_certificate": lambda: nash_certificate(BARE, THETA),

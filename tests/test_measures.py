@@ -9,7 +9,6 @@ from mfgflow import (
     random_density,
     support,
     tv_distance,
-    w1_distance_1d,
 )
 from mfgflow.measures import MAX_REDRAWS, seeded_draw
 
@@ -118,40 +117,6 @@ class TestTVDistance:
         m2 = normalize(np.ones(other.shape), other)
         with pytest.raises(ValueError):
             tv_distance(m1, m2)
-
-
-class TestW1Distance:
-    def test_identity(self, grid):
-        m = normalize(np.ones(grid.shape), grid)
-        assert w1_distance_1d(m, m) == 0.0
-
-    def test_disjoint_halves(self, grid):
-        m1 = normalize(indicator(grid, 0.0, 0.5), grid)
-        m2 = normalize(indicator(grid, 0.5, 1.0), grid)
-        assert w1_distance_1d(m1, m2) == pytest.approx(0.5, abs=2 * grid.spacing)
-
-    def test_uniform_vs_left_half(self, grid):
-        # CDF oracle: M1(x) = x, M2(x) = min(2x, 1); the integral of
-        # |M1 - M2| is 1/8 + 1/8 = 1/4
-        m1 = normalize(np.ones(grid.shape), grid)
-        m2 = normalize(indicator(grid, 0.0, 0.5), grid)
-        x = grid.axes[0]
-        oracle = np.trapezoid(np.abs(x - np.minimum(2 * x, 1.0)), x)
-        assert oracle == pytest.approx(0.25, abs=1e-6)
-        assert w1_distance_1d(m1, m2) == pytest.approx(oracle, abs=2 * grid.spacing)
-
-    def test_dominated_by_tv(self, grid):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            m1 = normalize(rng.uniform(0.0, 1.0, grid.shape), grid)
-            m2 = normalize(rng.uniform(0.0, 1.0, grid.shape), grid)
-            assert w1_distance_1d(m1, m2) <= tv_distance(m1, m2) + 1e-12
-
-    def test_rejected_in_2d(self):
-        g2 = make_grid(2, 10)
-        m = normalize(np.ones(g2.shape), g2)
-        with pytest.raises(ValueError):
-            w1_distance_1d(m, m)
 
 
 class TestSupport:
