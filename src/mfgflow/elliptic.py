@@ -29,12 +29,12 @@ iteration on the equation would treat theta == 0 as just another root.
 K must be positive somewhere; otherwise theta == 0 is the only solution
 and the model is rejected.
 
-The operators a model needs on one grid (-Lap and the linear system,
-as their three bands on a 1D grid, where no sparse matrix is built; in
-2D, the cosine-transform eigenvalues; the factorized linear system; the
-coefficients P and f, or K, on the grid) are built once per model and
-grid and cached on the model.  scipy.fft is imported on the first 2D
-solve, so that 1D runs never load it.
+What a model needs on one grid (one operator: the linear system, or
+-Lap for the harvesting model, as three bands on a 1D grid, where no
+sparse matrix is built; in 2D, its cosine-transform eigenvalues; the
+factorized linear system; the coefficients on the grid) is built once
+per model and grid and cached on the model.  scipy.fft is imported on
+the first 2D solve, so that 1D runs never load it.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class TrivialBranchWarning(UserWarning):
     """Nonlinear solve fell back to the identically-zero solution."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class NonlinearSolveOptions:
     """Tolerances for the nonlinear energy minimization.
 
@@ -91,16 +91,17 @@ class NonlinearSolveOptions:
             raise ValueError("max_iters must be at least 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
-    """Descriptor of the payoff PDE.
+    """Descriptor of the payoff PDE, an immutable value.
 
     kind is "linear" (fields mu, P, f) or "nonlinear" (fields mu, K).
     mu is a real number (not a bool or an array).  The coefficients P,
     f and K are scalars or arrays matching the solve grid (a model has
-    no grid of its own); they are broadcast at solve time.  Instances
-    cache their operators per grid, one entry per (dim, n), and must not
-    be mutated after first use.
+    no grid of its own); they are broadcast at solve time, and an array
+    is kept as a read-only float64 copy, apart from the caller's.
+    Instances cache their operators per grid, one entry per (dim, n);
+    dataclasses.replace builds a model with an empty cache.
     """
 
     kind: str
@@ -108,7 +109,7 @@ class ModelSpec:
     P: np.ndarray | float | None = None
     f: np.ndarray | float | None = None
     K: np.ndarray | float | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("linear", "nonlinear"):
@@ -122,6 +123,10 @@ class ModelSpec:
             raise ValueError("viscosity mu must be positive and finite")
         for name in ("P", "f", "K"):
             coef = getattr(self, name)
+            if coef is not None and not isinstance(coef, numbers.Real):
+                coef = np.array(coef, dtype=float)
+                coef.flags.writeable = False
+                object.__setattr__(self, name, coef)
             if coef is not None and not np.isfinite(coef).all():
                 raise ValueError(f"{name} must be finite everywhere")
         if self.kind == "linear":
@@ -211,9 +216,10 @@ _BACKWARD_ERROR_UNIT = BACKWARD_ERROR_FACTOR * np.finfo(float).eps / 2.0
 class _Operators:
     """What a model needs on one grid, built once and cached on the model."""
 
-    # -Lap with reflected Neumann rows, and mu (-Lap) + diag(P) (None for
-    # the harvesting model): sparse in 2D, (sub, main, super) bands in 1D
-    lap: tuple | sp.csr_matrix
+    # one operator, as (sub, main, super) bands in 1D and sparse in 2D:
+    # -Lap with reflected Neumann rows for the harvesting model, and
+    # mu (-Lap) + diag(P) for the linear model; the other is None
+    lap: tuple | sp.csr_matrix | None
     system: tuple | sp.csc_matrix | None
     # the model's coefficients on the grid (P and f linear, K harvesting)
     P: np.ndarray | None
@@ -273,23 +279,22 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
         if model.kind == "linear":
             P = model.coefficient("P", grid)
             if grid.dim == 1:
-                # the bands and row sums of |system| equal those of the
-                # assembled (mu lap + diag(P)).tocsc() to the bit
+                # to the bit the bands of the assembled (mu lap + diag(P)).tocsc()
                 lower, diag, upper = (model.mu * band for band in lap)
                 system = (lower, diag + P, upper)
                 *lu, info = dgttrf(*system)
                 _check_pivots(info)
-                norm = _product(tuple(map(np.abs, system)), np.ones(grid.shape))
             else:
                 system = (model.mu * lap + sp.diags(P.ravel())).tocsc()
-                norm = abs(system).sum(axis=1)
                 if P.min() == P.max():
                     eig = model.mu * _laplacian_eigenvalues(grid) + P.flat[0]
                 else:
                     lu = _factorize(system)
+            # every row of |-Lap| sums to 4 dim / dx^2, reflected rows too,
+            # and P >= 0: within one ulp of the summed max row of |system|
+            norm = model.mu * (4.0 * grid.dim / grid.spacing**2) + float(P.max())
             ops = _Operators(
-                lap, system, P, model.coefficient("f", grid), None, lu,
-                float(norm.max()), eig,
+                None, system, P, model.coefficient("f", grid), None, lu, norm, eig
             )
         else:
             if grid.dim == 2:
@@ -315,9 +320,9 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
     when its normwise backward error is a small multiple of the unit
     roundoff:
     ||A theta - b|| <= BACKWARD_ERROR_FACTOR * u * (||A|| ||theta|| + ||b||)
-    in the max norm.  ||A|| grows like 4 mu / dx^2, so a test against
-    ||b|| alone would reject correct solves on fine grids.  A theta that
-    is not finite is rejected before the test.
+    in the max norm, ||A|| = 4 dim mu / dx^2 + max P in closed form; a
+    test against ||b|| alone would reject correct solves on fine grids.
+    A theta that is not finite is rejected before the test.
     """
     if model.kind != "linear":
         raise ValueError("solve_linear needs a linear model")
@@ -496,11 +501,12 @@ def _energy_increment(lap, w, mu, fprime, fsecond, theta, delta):
 
 def _armijo_step(theta, g, direction, w, energy_increment, sigma=1e-4):
     """One projected backtracking step along the Newton direction,
-    falling back to the raw gradient.  Sufficient decrease is tested on
-    the exact energy increment.  Raises SolverError when no step passes.
+    falling back to the raw gradient (unless that is the direction).
+    Sufficient decrease is tested on the exact energy increment.  Raises
+    SolverError when no step passes.
     """
     wg = w * g
-    for d in (direction, g):
+    for d in (direction,) if direction is g else (direction, g):
         alpha = 1.0
         for _ in range(60):
             cand = np.maximum(theta - alpha * d, 0.0)
@@ -513,15 +519,16 @@ def _armijo_step(theta, g, direction, w, energy_increment, sigma=1e-4):
 
 
 def pde_residual(model: ModelSpec, m: ScalarField, theta: ScalarField) -> float:
-    """Max norm of the discrete PDE residual of theta for the model."""
+    """Max norm of the discrete PDE residual of theta for the model; for
+    the linear model, the residual solve_linear's backward-error test
+    bounds, on the cached system."""
     grid = grid_of(m, theta)
     m_vals, th = m.values, theta.values
     ops = _operators(model, grid)
-    lap_theta = _product(ops.lap, th)
     if model.kind == "linear":
-        res = model.mu * lap_theta + ops.P * th - (ops.f - m_vals)
+        res = _product(ops.system, th) - (ops.f - m_vals)
     else:
-        res = model.mu * lap_theta - th * (ops.K - th) + m_vals * th
+        res = model.mu * _product(ops.lap, th) - th * (ops.K - th) + m_vals * th
     return float(np.abs(res).max())
 
 

@@ -58,9 +58,9 @@ class RedistributionShortfallError(RuntimeError):
     """The plateau cannot absorb eps; the step size must shrink."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
-    """Outer-loop parameters.
+    """Outer-loop parameters, an immutable value.
 
     tau = None binds the residual tolerance to the grid spacing at run
     time.  fixed_eps disables the adaptive halving entirely: every step
@@ -271,28 +271,22 @@ def select_lowest_income(m: ScalarField, theta: ScalarField, eps: float, cut=Non
     return _split(_reused(cut.selection, m, theta, None), eps)
 
 
-def select_farthest(m: ScalarField, v: ScalarField, eps: float, income=None, cut=None):
+def select_farthest(m: ScalarField, v: ScalarField, eps: float, income, cut=None):
     """Split m into the eps slice farthest from the target and the rest.
 
     Selection runs on descending distance v.  Distances on a grid carry
-    many exact ties (in 1D they are multiples of dx); when the income
-    field is supplied, equally far nodes are taken poorest-first, which
-    is the tiebreak the flow uses.  Returns (m_minus, m_plus, eta) as
+    many exact ties (in 1D they are multiples of dx); equally far nodes
+    are taken poorest-first by the income field.  Mass on the target
+    ties at distance zero, so when no mass sits off it the slice is the
+    lowest-income one.  Returns (m_minus, m_plus, eta) as
     select_lowest_income does, and takes the flow's cut the same way.
-    Called without a cut, raises ValueError when no mass sits at
-    positive distance (the density already lives on the target); the
-    flow's selection needs no such check (see the module docstring).
     """
-    grid_of(m, v) if income is None else grid_of(m, v, income)
+    grid_of(m, v, income)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if cut is None:
-        if not np.any(v.values[m.values > 0.0] > 0.0):
-            raise ValueError("all mass already sits on the target set")
-        selection = _selection(m, v, descending=True, tiebreak=income)
-    else:
-        selection = _reused(cut.selection, m, v, income)
-    return _split(selection, eps)
+        return _split(_selection(m, v, descending=True, tiebreak=income), eps)
+    return _split(_reused(cut.selection, m, v, income), eps)
 
 
 def redistribute(

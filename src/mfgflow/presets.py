@@ -95,10 +95,9 @@ class Preset:
     name: str
     kind: str  # linear | nonlinear
     dim: int
-    coefficient: str | None  # expression for f (linear) or K (nonlinear)
+    coefficient: str | None  # expression for f (linear) or K; None: seeded cosine sum
     P: str | None = None  # expression, linear only
     default_eps0: float = 0.1
-    random_cosine: bool = False  # coefficient drawn from a seeded cosine sum
 
 
 _GAUSS2D = "5*exp(-((x-1)*(x-1)+(y-1)*(y-1))/0.5)"
@@ -117,12 +116,10 @@ PRESETS = {
         "nonlinear-gauss2d", "nonlinear", 2, _GAUSS2D, default_eps0=0.25
     ),
     "linear-randcos2d": Preset(
-        "linear-randcos2d", "linear", 2, None, P="1", default_eps0=0.5,
-        random_cosine=True,
+        "linear-randcos2d", "linear", 2, None, P="1", default_eps0=0.5
     ),
     "nonlinear-randcos2d": Preset(
-        "nonlinear-randcos2d", "nonlinear", 2, None, default_eps0=0.25,
-        random_cosine=True,
+        "nonlinear-randcos2d", "nonlinear", 2, None, default_eps0=0.25
     ),
 }
 
@@ -153,14 +150,14 @@ def build_model(preset: Preset, grid: Grid, seed: int = 0, mu: float = 0.1) -> M
     """Instantiate the payoff model of a preset on a grid.
 
     The coefficient expressions are evaluated on the grid's nodes (a
-    random-cosine preset draws its coefficient from seed), so every
-    coefficient of the model is an array.
+    preset without a coefficient expression draws it from seed as a
+    random cosine sum), so every coefficient of the model is an array.
     """
     if grid.dim != preset.dim:
         raise ValueError(
             f"preset {preset.name!r} is {preset.dim}D but the grid is {grid.dim}D"
         )
-    if preset.random_cosine:
+    if preset.coefficient is None:
         coef = random_cosine_sum(seed, grid)
     else:
         coef = evaluate_expression(preset.coefficient, grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -144,6 +145,54 @@ class TestModelSpec:
             NonlinearSolveOptions(grad_tol=0.0)
         with pytest.raises(ValueError):
             NonlinearSolveOptions(max_iters=0)
+
+
+def linear_4x(grid, mu=0.1):
+    return ModelSpec.linear(mu=mu, P=0.5, f=4.0 * grid.axes[0])
+
+
+class TestImmutableInputs:
+    @pytest.mark.parametrize("value, name", [
+        (ModelSpec.linear(mu=0.1, P=0.5, f=1.0), "mu"),
+        (ModelSpec.linear(mu=0.1, P=0.5, f=np.ones(11)), "P"),
+        (FlowConfig(), "eps0"),
+        (NonlinearSolveOptions(), "grad_tol"),
+    ], ids=["ModelSpec.mu", "ModelSpec.P", "FlowConfig", "NonlinearSolveOptions"])
+    def test_assigning_a_field_raises(self, value, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 1.0)
+
+    def test_replaced_model_solves_with_its_own_values(self):
+        grid = make_grid(1, 200)
+        m = uniform(grid)
+        model = linear_4x(grid)
+        before = solve_linear(model, m).values
+        replaced = dataclasses.replace(model, mu=1.0)
+        assert replaced._cache == {} and model._cache
+        fresh = solve_linear(linear_4x(grid, mu=1.0), m).values
+        assert np.array_equal(solve_linear(replaced, m).values, fresh)
+        assert np.abs(fresh - before).max() > 0.5
+        assert np.array_equal(solve_linear(model, m).values, before)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            dataclasses.replace(model, mu=-3.0)
+
+    def test_coefficient_arrays_are_read_only_copies(self):
+        grid = make_grid(1, 200)
+        m = uniform(grid)
+        P = 0.5 + grid.axes[0]
+        model = ModelSpec.linear(mu=0.1, P=P, f=4.0 * grid.axes[0])
+        theta = solve_linear(model, m)
+        with pytest.raises(ValueError, match="read-only"):
+            model.P[:] = -1.0
+        P[:] = -1.0  # the caller's array stays writable and apart
+        assert model.P.dtype == np.float64
+        assert np.array_equal(model.P, 0.5 + grid.axes[0])
+        assert np.array_equal(solve_linear(model, m).values, theta.values)
+        assert pde_residual(model, m, theta) <= 1e-10
+
+    def test_scalar_coefficients_stay_numbers(self):
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=2)
+        assert (model.P, model.f) == (0.5, 2) and type(model.f) is int
 
 
 class TestLinearSolve:
@@ -559,8 +608,8 @@ class TestOperatorCache:
     @pytest.mark.parametrize("n", [2, 3, 1000, 100000])
     @pytest.mark.parametrize("varying_P", [False, True], ids=["constant-P", "varying-P"])
     def test_1d_system_bands_match_the_sparse_system(self, n, varying_P):
-        # the bands and norm built from -Lap's bands are those the
-        # assembled sparse system gives
+        # the bands built from -Lap's bands are those the assembled
+        # sparse system gives, and the norm is the closed form
         grid = make_grid(1, n)
         x = grid.axes[0]
         P = 0.5 + x * x if varying_P else 0.5
@@ -571,7 +620,54 @@ class TestOperatorCache:
         ).tocsc()
         want = (system.diagonal(-1), system.diagonal(), system.diagonal(1))
         assert all(np.array_equal(a, b) for a, b in zip(ops.system, want, strict=True))
-        assert ops.norm == float(abs(system).sum(axis=1).max())
+        assert ops.norm == closed_form_norm(model, grid)
+
+    @pytest.mark.parametrize("mu", [0.03, 0.1, 1.0])
+    @pytest.mark.parametrize("P", ["constant", "varying", "partly-zero"])
+    @pytest.mark.parametrize("dim, n", [
+        (1, 2), (1, 3), (1, 10), (1, 1001), (1, 100000), (2, 2), (2, 3), (2, 17), (2, 200),
+    ])
+    def test_norm_is_the_closed_form(self, dim, n, P, mu):
+        grid = make_grid(dim, n)
+        X = grid.coords()[0]
+        P = {
+            "constant": np.full(grid.shape, 0.5),
+            "varying": 0.5 + X + grid.coords()[-1],
+            "partly-zero": np.maximum(np.sin(7.0 * X), 0.0),
+        }[P]
+        model = ModelSpec.linear(mu=mu, P=P, f=1.0)
+        system = (mu * neumann_laplacian(grid) + sp.diags(P.ravel())).tocsc()
+        summed = float(abs(system).sum(axis=1).max())
+        norm = elliptic._operators(model, grid).norm
+        assert norm == closed_form_norm(model, grid)
+        assert abs(norm - summed) <= np.spacing(summed)
+
+    @pytest.mark.parametrize("varying_P", [False, True], ids=["constant-P", "varying-P"])
+    @pytest.mark.parametrize(
+        "dim, n", [(1, 1000), (1, 10000), (1, 100000), (2, 40), (2, 100), (2, 200)]
+    )
+    def test_accepted_solves_meet_the_backward_error_bound(self, dim, n, varying_P):
+        # pde_residual of a linear model is the residual the solve's
+        # backward-error test bounds; the bound from public quantities
+        grid = make_grid(dim, n)
+        X = grid.coords()[0]
+        P = 0.5 + X + grid.coords()[-1] if varying_P else 0.5
+        model = ModelSpec.linear(mu=0.1, P=P, f=15.0 * (np.cos(2.0 * np.pi * X) + 1.0))
+        m = normalize(np.random.default_rng(n).uniform(0.1, 1.0, grid.shape), grid)
+        theta = solve_linear(model, m)
+        rhs = model.coefficient("f", grid) - m.values
+        unit = elliptic.BACKWARD_ERROR_FACTOR * np.finfo(float).eps / 2.0
+        bound = unit * (
+            closed_form_norm(model, grid) * np.abs(theta.values).max() + np.abs(rhs).max()
+        )
+        assert 0.0 < pde_residual(model, m, theta) <= bound
+
+    def test_linear_entries_hold_no_laplacian(self):
+        for grid in (make_grid(1, 50), make_grid(2, 10)):
+            linear = elliptic._operators(linear_4x(grid), grid)
+            harvesting = elliptic._operators(ModelSpec.nonlinear(mu=0.1, K=4.0), grid)
+            assert linear.lap is None and linear.system is not None
+            assert harvesting.system is None and harvesting.lap is not None
 
     def test_reused_model_matches_fresh_model(self):
         K = 4.0  # a scalar coefficient lets one model serve every grid
@@ -584,6 +680,12 @@ class TestOperatorCache:
             assert np.array_equal(reused, fresh)
             assert pde_residual(model, m, ScalarField(reused, grid)) <= 1e-5
         assert sorted(model._cache) == [(1, 100), (1, 200), (2, 20)]
+
+
+def closed_form_norm(model, grid):
+    """||mu (-Lap) + diag(P)||_inf: the rows of |-Lap| sum to 4 dim / dx^2."""
+    P = model.coefficient("P", grid)
+    return model.mu * (4.0 * grid.dim / grid.spacing**2) + float(P.max())
 
 
 @pytest.fixture
@@ -731,6 +833,23 @@ class TestNewtonCG:
         # J negative definite: the first direction has negative curvature
         lap, eig, w, c, g, _ = cg_problem(lambda X: np.full(X.shape, 1e5))
         assert elliptic._newton_cg(lap, eig, w, c, g) is g
+
+    def test_gradient_direction_is_searched_once(self, monkeypatch):
+        # when the direction is g itself, a stalled line search tries it
+        # once: 60 halvings, not the same 60 twice
+        increments = []
+
+        def failing_increment(*args):
+            increments.append(args)
+            return np.inf
+
+        monkeypatch.setattr(elliptic, "_newton_cg", lambda lap, eig, w, c, g: g)
+        monkeypatch.setattr(elliptic, "_energy_increment", failing_increment)
+        grid = make_grid(2, 20)
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0 * grid.coords()[0])
+        with pytest.raises(SolverError, match="line search stalled"):
+            solve_nonlinear(model, uniform(grid))
+        assert len(increments) == 60
 
     def test_negative_curvature_later_returns_the_last_iterate(self, monkeypatch):
         # J indefinite: one step has positive curvature, the second not

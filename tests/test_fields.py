@@ -55,7 +55,7 @@ BARE_CALLS = {
     "solve_nonlinear_theta0": lambda: solve_nonlinear(NONLINEAR, M, theta0=BARE),
     "solve_payoff": lambda: solve_payoff(LINEAR, BARE),
     "select_lowest_income": lambda: select_lowest_income(M, BARE, 0.1),
-    "select_farthest": lambda: select_farthest(BARE, V, 0.1),
+    "select_farthest": lambda: select_farthest(BARE, V, 0.1, income=THETA),
     "select_farthest_income": lambda: select_farthest(M, V, 0.1, income=BARE),
     "redistribute": lambda: redistribute(BARE, THETA, LINEAR, 0.1),
     "extract_target": lambda: extract_target(BARE, 0.0),
@@ -76,7 +76,7 @@ def _on_other_grid(fld):
 
 MIXED_CALLS = {
     "select_lowest_income": lambda: select_lowest_income(M, _on_other_grid(THETA), 0.1),
-    "select_farthest": lambda: select_farthest(M, _on_other_grid(V), 0.1),
+    "select_farthest": lambda: select_farthest(M, _on_other_grid(V), 0.1, income=THETA),
     "select_farthest_income": lambda: select_farthest(
         M, V, 0.1, income=_on_other_grid(THETA)
     ),

@@ -138,14 +138,18 @@ class TestSelectFarthest:
     def test_monotone_duality_with_income(self, grid, uniform):
         v = field(grid, 1.0 - grid.axes[0])
         theta = field(grid, grid.axes[0])
-        far, _, _ = select_farthest(uniform, v, 0.1)
+        far, _, _ = select_farthest(uniform, v, 0.1, income=theta)
         low, _, _ = select_lowest_income(uniform, theta, 0.1)
         assert np.abs(far.values - low.values).max() <= 1e-12
 
-    def test_zero_distance_everywhere_is_empty(self, grid, uniform):
+    def test_zero_distance_everywhere_takes_the_poorest(self, grid, uniform):
+        # all mass on the target: every distance ties at zero and the
+        # income tiebreak takes the best-response slice
         v = field(grid, np.zeros(grid.shape))
-        with pytest.raises(ValueError, match="already sits on the target set"):
-            select_farthest(uniform, v, 0.1)
+        theta = field(grid, grid.axes[0])
+        far = select_farthest(uniform, v, 0.1, income=theta)
+        low = select_lowest_income(uniform, theta, 0.1)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(far[:2], low[:2]))
 
     def test_one_ulp_gap_takes_the_poorest_with_a_cut(self):
         # a gap of one ulp puts the whole support on the eikonal target;
@@ -163,21 +167,21 @@ class TestSelectFarthest:
         assert gap == 30.68 - np.nextafter(30.68, 0.0)
         v = flow._distance_field(grid, theta, gap)
         assert not v.values[m.values > 0.0].any()
-        with pytest.raises(ValueError, match="already sits on the target set"):
-            select_farthest(m, v, 0.01, income=theta)
         model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
         cut = flow._cut(m, theta, v, model)
+        alone = select_farthest(m, v, 0.01, income=theta)
         far_minus, far_plus, _ = select_farthest(m, v, 0.01, income=theta, cut=cut)
         low_minus, low_plus, _ = select_lowest_income(m, theta, 0.01)
         assert np.flatnonzero(far_minus.values).tolist() == [10]
         assert integrate(far_minus.values, grid) == pytest.approx(0.01, abs=1e-15)
-        assert np.array_equal(far_minus.values, low_minus.values)
-        assert np.array_equal(far_plus.values, low_plus.values)
+        for minus, plus in ((alone[0], alone[1]), (low_minus, low_plus)):
+            assert np.array_equal(far_minus.values, minus.values)
+            assert np.array_equal(far_plus.values, plus.values)
 
     def test_two_target_midpoint_band(self, grid, uniform):
         x = grid.axes[0]
         v = field(grid, np.minimum(x, 1.0 - x))
-        m_minus, _, _ = select_farthest(uniform, v, 0.1)
+        m_minus, _, _ = select_farthest(uniform, v, 0.1, income=field(grid, x))
         sel = x[m_minus.values > 0]
         assert sel.min() >= 0.45 - 2 * grid.spacing
         assert sel.max() <= 0.55 + 2 * grid.spacing
@@ -241,7 +245,7 @@ def test_moves_of_no_mass_rejected(grid, uniform, eps):
     with pytest.raises(ValueError, match="eps must be positive"):
         select_lowest_income(uniform, theta, eps)
     with pytest.raises(ValueError, match="eps must be positive"):
-        select_farthest(uniform, theta, eps)
+        select_farthest(uniform, theta, eps, income=theta)
     with pytest.raises(ValueError, match="eps must be positive"):
         redistribute(uniform, theta, model, eps)
 
