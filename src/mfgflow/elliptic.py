@@ -152,6 +152,9 @@ class ModelSpec:
         return cls(kind="nonlinear", mu=mu, K=K)
 
     def coefficient(self, name: str, grid: Grid) -> np.ndarray:
+        """P or f of a linear model, or K of a harvesting one, on the grid."""
+        if name not in (("P", "f") if self.kind == "linear" else ("K",)):
+            raise ValueError(f"a {self.kind} model has no coefficient {name!r}")
         return np.broadcast_to(np.asarray(getattr(self, name), dtype=float), grid.shape)
 
 

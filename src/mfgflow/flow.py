@@ -19,16 +19,16 @@ Within one outer iteration theta, the distance field and the model stay
 fixed across every halving, so the iterate's first trial builds a cut
 that every later trial reuses: the stable selection order (ascending
 theta, or descending distance with income as tiebreak) with its masses
-and their cumulative sums, and the descending-theta order of the
-plateau with theta_bar and the heights before m_plus, each order with
-its keys in that order.  A trial sorts nothing: a search of the
-cumulative masses finds the crossing position, a search of the ordered
-keys (and tiebreaks) bounds its run, and the nodes before the run lead
-the order.  The plateau's cumulative heights, summed per trial, both
-decide a shortfall and place the crossing.  The sums add the same nodes
-in node order as without the cut, so the results are the same to the
-bit.  Called alone, the selection and redistribution functions build
-the part of the cut they need on the spot.
+and their cumulative sums, and the descending-theta order of the plateau
+with theta_bar and the heights before m_plus, both from one stable sort
+of theta and each with its keys in that order.  A trial sorts nothing: a
+search of the cumulative masses finds the crossing position, a search of
+the ordered keys (and tiebreaks) bounds its run, and the nodes before
+the run lead the order.  The plateau's cumulative heights, summed per
+trial, both decide a shortfall and place the crossing.  The sums add the
+same nodes in node order as without the cut, so the results are the same
+to the bit.  Called alone, the selection and redistribution functions
+build the part of the cut they need on the spot.
 """
 
 from __future__ import annotations
@@ -148,16 +148,9 @@ class _Order:
     descending: bool
 
 
-def _sort_order(key, descending, tiebreak=None) -> _Order:
-    """Order the flat nodes by the field key, descending if asked, equal
-    keys by the ascending tiebreak field, and full ties by node."""
-    signed = -key.values.ravel() if descending else key.values.ravel()
-    if tiebreak is None:
-        nodes, ties = np.argsort(signed, kind="stable"), None
-    else:
-        nodes = np.lexsort((tiebreak.values.ravel(), signed))
-        ties = tiebreak.values.ravel()[nodes]
-    return _Order(nodes, signed[nodes], ties, descending)
+def _ascending(theta) -> np.ndarray:
+    """The flat nodes in stable ascending order of theta: an iterate's one sort."""
+    return np.argsort(theta.values.ravel(), kind="stable")
 
 
 def _slice(mass, order, eps, cum):
@@ -197,16 +190,24 @@ def _slice(mass, order, eps, cum):
 class _Selection:
     """The flat mass of m with its cumulative sums in removal order."""
 
-    sources: tuple  # (m, key, tiebreak) it was built from
+    sources: tuple  # (m, theta, v) it was built from
     order: _Order
     mass: np.ndarray
     cum: np.ndarray
 
 
-def _selection(m, key, descending, tiebreak=None) -> _Selection:
-    order = _sort_order(key, descending, tiebreak)
+def _selection(m, theta, v, asc) -> _Selection:
+    """Removal order of m by ascending theta, or by descending v then theta."""
+    income = theta.values.ravel()
+    if v is None:
+        order = _Order(asc, income[asc], None, False)
+    else:
+        far = -v.values.ravel()
+        # a stable sort keeps asc's income order within equal distances
+        nodes = asc[np.argsort(far[asc], kind="stable")]
+        order = _Order(nodes, far[nodes], income[nodes], True)
     mass = (m.grid.quad_weights * m.values).ravel()
-    return _Selection((m, key, tiebreak), order, mass, np.add.accumulate(mass[order.nodes]))
+    return _Selection((m, theta, v), order, mass, np.add.accumulate(mass[order.nodes]))
 
 
 @dataclass(slots=True)
@@ -219,10 +220,19 @@ class _Plateau:
     base: np.ndarray  # the plateau density at theta_bar
 
 
-def _plateau(theta, model) -> _Plateau:
+def _plateau(theta, model, asc) -> _Plateau:
+    """The plateau of theta in descending order: asc reversed, with each run
+    [s, e) of equal theta put back in node order by p -> s + e - 1 - p."""
     theta_bar = float(np.maximum.reduce(theta.values, axis=None))
     base = plateau_density(model, theta.grid, theta_bar).values
-    return _Plateau((theta, model), _sort_order(theta, True), theta_bar, base)
+    nodes = asc[::-1]
+    top = theta.values.ravel()[nodes]
+    differ = top[1:] != top[:-1]
+    if not differ.all():  # the map is the identity when no two nodes tie
+        edges = np.flatnonzero(np.concatenate(([True], differ, [True])))
+        at = np.repeat(edges[:-1] + edges[1:] - 1, np.diff(edges)) - np.arange(top.size)
+        nodes, top = nodes[at], top[at]
+    return _Plateau((theta, model), _Order(nodes, -top, None, True), theta_bar, base)
 
 
 @dataclass(slots=True)
@@ -235,8 +245,8 @@ class _Cut:
 
 def _cut(m, theta, v, model) -> _Cut:
     """The cut of an iterate: selection by income, or by distance v."""
-    selection = _selection(m, theta, False) if v is None else _selection(m, v, True, theta)
-    return _Cut(selection, _plateau(theta, model))
+    asc = _ascending(theta)
+    return _Cut(_selection(m, theta, v, asc), _plateau(theta, model, asc))
 
 
 def _reused(part, *sources):
@@ -267,7 +277,7 @@ def select_lowest_income(m: ScalarField, theta: ScalarField, eps: float, cut=Non
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if cut is None:
-        return _split(_selection(m, theta, descending=False), eps)
+        return _split(_selection(m, theta, None, _ascending(theta)), eps)
     return _split(_reused(cut.selection, m, theta, None), eps)
 
 
@@ -285,8 +295,8 @@ def select_farthest(m: ScalarField, v: ScalarField, eps: float, income, cut=None
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if cut is None:
-        return _split(_selection(m, v, descending=True, tiebreak=income), eps)
-    return _split(_reused(cut.selection, m, v, income), eps)
+        return _split(_selection(m, income, v, _ascending(income)), eps)
+    return _split(_reused(cut.selection, m, income, v), eps)
 
 
 def redistribute(
@@ -308,7 +318,10 @@ def redistribute(
     grid = grid_of(m_plus, theta)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    plateau = _plateau(theta, model) if cut is None else _reused(cut.plateau, theta, model)
+    if cut is None:
+        plateau = _plateau(theta, model, _ascending(theta))
+    else:
+        plateau = _reused(cut.plateau, theta, model)
     height = np.maximum(plateau.base - m_plus.values, 0.0)
     mass = (grid.quad_weights * height).ravel()
     # a prefix of the sums is the sum of the prefix; the first 256 nodes held eps in

@@ -88,8 +88,8 @@ class TestEikonal1D:
 
 @pytest.mark.parametrize("dim, n", [(1, 2), (1, 317), (2, 2), (2, 37), (2, 400)])
 def test_matches_brute_force_on_random_targets(dim, n):
-    # at most five targets: on the larger 2D grids most columns hold
-    # none, so the first pass is inf there and the second pass fills in
+    # at most five targets: on the larger 2D grids most rows and columns
+    # hold none, so most nodes are far from every target along both axes
     grid = make_grid(dim, n)
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -101,9 +101,54 @@ def test_matches_brute_force_on_random_targets(dim, n):
         assert np.abs(v.values - brute_force_distance(grid, mask)).max() <= 1e-12
 
 
+def squared_node_offsets(mask):
+    """min over target nodes (r, k) of (i - r)^2 + (j - k)^2 at every node
+    (i, j), in exact integers: per target row the nearest target column,
+    then the nearest row, both by exhaustive search."""
+    rows, cols = mask.shape
+    far = 4 * (rows + cols) ** 2  # more than any squared offset on the grid
+    j = np.arange(cols)
+    h2 = np.full(mask.shape, far, dtype=np.int64)
+    for r in np.flatnonzero(mask.any(axis=1)):
+        h2[r] = ((j[:, None] - np.flatnonzero(mask[r])[None, :]) ** 2).min(axis=1)
+    r2 = (np.arange(rows)[:, None] - np.arange(rows)[None, :]) ** 2
+    return np.stack([(r2[i][:, None] + h2).min(axis=0) for i in range(rows)])
+
+
+def edt_masks(grid):
+    """Random targets at densities 0.001-0.9, each holding at least one
+    node, the half square x < 0.5, the whole grid, one corner node and
+    two disconnected blocks."""
+    rng = np.random.default_rng(grid.n)
+    n = grid.n
+    for density in (0.001, 0.01, 0.1, 0.5, 0.9):
+        mask = rng.random(grid.shape) < density
+        mask.flat[rng.integers(grid.num_nodes)] = True
+        yield f"random-{density}", mask
+    yield "half-square", grid.coords()[0] < 0.5
+    yield "full", np.ones(grid.shape, dtype=bool)
+    corner = np.zeros(grid.shape, dtype=bool)
+    corner[-1, 0] = True
+    yield "corner", corner
+    blocks = np.zeros(grid.shape, dtype=bool)
+    blocks[: n // 4 + 1, : n // 5 + 1] = True
+    blocks[n - n // 6 :, n - n // 3 :] = True
+    yield "two-blocks", blocks
+
+
+@pytest.mark.parametrize("n", [2, 3, 37, 100, 400])
+def test_2d_field_is_the_root_of_the_integer_offset_times_dx(n):
+    # the transform works in node units, so every distance is the root of
+    # an exact integer, scaled by dx once: equal to the bit, not to 1e-12
+    grid = make_grid(2, n)
+    for name, mask in edt_masks(grid):
+        expected = np.sqrt(squared_node_offsets(mask).astype(float)) * grid.spacing
+        assert np.array_equal(solve_eikonal(grid, mask).values, expected), name
+
+
 def test_1d_field_is_the_node_count_times_dx():
-    # the 1D field skips the second pass, which would square and root
-    # exact integers: it stays a whole number of nodes times dx, to the bit
+    # the 1D field is one pass along the line, which never squares and
+    # roots its integers: it stays a whole number of nodes times dx, to the bit
     grid = make_grid(1, 317)
     mask = np.zeros(grid.shape, dtype=bool)
     mask[[3, 40, 41, 300]] = True
@@ -163,21 +208,25 @@ class TestEikonal2D:
         assert np.abs(np.diff(v, axis=1)).max() <= bound
 
 
-def test_import_and_2d_solve_load_no_heavy_scipy_modules():
-    # scipy.ndimage alone adds about 0.1 s and 5 MB to every start-up;
-    # scipy.optimize is used by the min-max-income test oracle only;
-    # scipy.fft (about 70 ms) is imported by the first 2D payoff solve,
-    # so neither the 2D distance field nor a 1D payoff solve loads it
+def test_scipy_ndimage_loads_only_for_a_2d_distance_field():
+    # scipy.ndimage adds about 0.1 s and 5 MB to a start-up, so it loads
+    # on the first 2D distance field, and 1D runs never import it;
+    # scipy.fft (about 70 ms) loads on the first 2D payoff solve, and
+    # scipy.optimize is used by the min-max-income test oracle only
     script = (
         "import sys, numpy as np, mfgflow\n"
-        "g = mfgflow.make_grid(2, 20)\n"
-        "mask = np.zeros(g.shape, dtype=bool); mask[3, 7] = True\n"
-        "mfgflow.solve_eikonal(g, mask)\n"
+        "heavy = ('scipy.ndimage', 'scipy.spatial', 'scipy.optimize', 'scipy.fft')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
         "g1 = mfgflow.make_grid(1, 50)\n"
+        "mask = np.zeros(g1.shape, dtype=bool); mask[7] = True\n"
+        "mfgflow.solve_eikonal(g1, mask)\n"
         "m = mfgflow.normalize(np.ones(g1.shape), g1)\n"
         "mfgflow.solve_payoff(mfgflow.ModelSpec.linear(mu=0.1, P=0.5, f=2.0), m)\n"
         "mfgflow.solve_payoff(mfgflow.ModelSpec.nonlinear(mu=0.1, K=4.0), m)\n"
-        "heavy = ('scipy.ndimage', 'scipy.spatial', 'scipy.optimize', 'scipy.fft')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "g = mfgflow.make_grid(2, 20)\n"
+        "mask = np.zeros(g.shape, dtype=bool); mask[3, 7] = True\n"
+        "mfgflow.solve_eikonal(g, mask)\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(mfgflow.__file__))
@@ -187,4 +236,4 @@ def test_import_and_2d_solve_load_no_heavy_scipy_modules():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True,
         timeout=60, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]", "['scipy.ndimage']"]

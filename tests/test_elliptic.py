@@ -123,6 +123,26 @@ class TestModelSpec:
         with pytest.raises(ValueError, match="unknown model kind 'quadratic'"):
             ModelSpec(kind="quadratic", mu=0.1, K=1.0)
 
+    @pytest.mark.parametrize("name", ["K", "mu", "kind", "g"])
+    def test_linear_coefficient_refuses_other_names(self, name):
+        model = ModelSpec(kind="linear", mu=0.1, P=0.5, f=1.0, K=2.0)
+        with pytest.raises(ValueError, match=f"a linear model has no coefficient '{name}'"):
+            model.coefficient(name, make_grid(1, 10))
+
+    @pytest.mark.parametrize("name", ["P", "f", "mu", "kind", "g"])
+    def test_harvesting_coefficient_refuses_other_names(self, name):
+        model = ModelSpec.nonlinear(mu=0.1, K=4.0)
+        with pytest.raises(ValueError, match=f"a nonlinear model has no coefficient '{name}'"):
+            model.coefficient(name, make_grid(2, 4))
+
+    def test_coefficient_broadcasts_the_named_field(self):
+        grid = make_grid(1, 10)
+        linear = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
+        assert np.array_equal(linear.coefficient("P", grid), np.full(grid.shape, 0.5))
+        assert np.array_equal(linear.coefficient("f", grid), 4.0 * grid.axes[0])
+        harvesting = ModelSpec.nonlinear(mu=0.1, K=4.0)
+        assert np.array_equal(harvesting.coefficient("K", grid), np.full(grid.shape, 4.0))
+
     def test_solvers_refuse_the_other_kind(self):
         grid = make_grid(1, 10)
         m = normalize(np.ones(grid.shape), grid)

@@ -22,6 +22,7 @@ from mfgflow import (
     run_flow,
     select_farthest,
     select_lowest_income,
+    solve_eikonal,
     solve_payoff,
     tv_distance,
 )
@@ -557,6 +558,29 @@ def cut_case(name):
     return m, theta, v, model, 0.05 if name == "plateau-tie" else 0.2
 
 
+def tied_case(name):
+    """(m, theta, v, model) whose theta and v take few values, so most
+    nodes tie, with +0.0 and -0.0 both among the zeros; or a constant
+    theta with the distance to one node; or a theta without ties."""
+    dim, n = (1, 300) if name.startswith("1d") else (2, 20)
+    grid = make_grid(dim, n)
+    rng = np.random.default_rng(dim)
+    model = ModelSpec.linear(mu=0.1, P=0.5, f=3.0)
+    m = normalize(rng.uniform(0.2, 1.0, grid.shape), grid)
+    if name.endswith("constant"):
+        target = np.zeros(grid.shape, dtype=bool)
+        target.flat[grid.num_nodes // 3] = True
+        return m, field(grid, np.full(grid.shape, 2.0)), solve_eikonal(grid, target), model
+    v = rng.integers(0, 4, grid.shape) * grid.spacing
+    if name.endswith("distinct"):
+        return m, field(grid, rng.standard_normal(grid.shape)), field(grid, v), model
+    theta = rng.integers(-3, 4, grid.shape) * 0.5
+    for values in (theta, v):
+        values[(values == 0.0) & (rng.random(grid.shape) < 0.5)] = -0.0
+    assert np.signbit(theta[theta == 0.0]).any() and not np.signbit(theta[theta == 0.0]).all()
+    return m, field(grid, theta), field(grid, v), model
+
+
 CUT_CASES = (
     "constant-theta", "1d-eikonal", "plateau-tie", "2d-21x21-best_response",
     "2d-21x21-eikonal", "boundary-best_response", "boundary-eikonal",
@@ -680,8 +704,56 @@ class TestCut:
         with pytest.raises(ValueError, match="another iterate"):
             select_farthest(uniform, theta, 0.1, income=theta, cut=cut)
 
+    @pytest.mark.parametrize(
+        "name", ["1d-ties", "2d-ties", "1d-constant", "2d-constant", "1d-distinct"]
+    )
+    def test_orders_match_the_reference_sorts(self, name, monkeypatch):
+        # both orders come from one ascending sort of theta; the cut and
+        # the calls alone must give the nodes, keys and ties of the
+        # direct sorts, with -0.0 and 0.0 tied as the comparisons tie them
+        m, theta, v, model = tied_case(name)
+        income, far = theta.values.ravel(), -v.values.ravel()
+        expected = {
+            "income": (np.argsort(income, kind="stable"), income, None, False),
+            "distance": (np.lexsort((income, far)), far, income, True),
+            "plateau": (np.argsort(-income, kind="stable"), -income, None, True),
+        }
+        built = []
+
+        def recorded(fn):
+            def wrapper(*args):
+                built.append(fn(*args))
+                return built[-1]
+
+            return wrapper
+
+        for helper in ("_selection", "_plateau"):
+            monkeypatch.setattr(flow, helper, recorded(getattr(flow, helper)))
+        parts = {"income": [], "distance": [], "plateau": []}
+        for kind, v_or_none in (("income", None), ("distance", v)):
+            cut = flow._cut(m, theta, v_or_none, model)
+            parts[kind].append(cut.selection)
+            parts["plateau"].append(cut.plateau)
+        select_lowest_income(m, theta, 0.1)
+        parts["income"].append(built[-1])
+        select_farthest(m, v, 0.1, income=theta)
+        parts["distance"].append(built[-1])
+        outcome(redistribute, m, theta, model, 0.1)
+        parts["plateau"].append(built[-1])
+        for kind, (nodes, keys, ties, descending) in expected.items():
+            assert len(parts[kind]) == (3 if kind == "plateau" else 2)
+            for part in parts[kind]:
+                order = part.order
+                assert np.array_equal(order.nodes, nodes)
+                assert bits(order.keys) == bits(keys[nodes])
+                if ties is None:
+                    assert order.ties is None
+                else:
+                    assert bits(order.ties) == bits(ties[nodes])
+                assert order.descending is descending
+
     @pytest.mark.parametrize("variant", ["best_response", "eikonal"])
-    def test_one_pair_of_sorts_per_iterate(self, grid, uniform, monkeypatch, variant):
+    def test_one_sort_per_iterate(self, grid, uniform, monkeypatch, variant):
         sorts, calls = [], []
 
         def recording(fn, log, letter):
@@ -696,7 +768,7 @@ class TestCut:
 
             return wrapper
 
-        monkeypatch.setattr(flow, "_sort_order", recording(flow._sort_order, sorts, "O"))
+        monkeypatch.setattr(flow, "_ascending", recording(flow._ascending, sorts, "O"))
         # the four functions a per-layer trace wraps, called through this
         # module's globals; the other variant's selection must not run
         select = "select_lowest_income" if variant == "best_response" else "select_farthest"
@@ -720,4 +792,4 @@ class TestCut:
         # iterate met the tolerance and took none
         iterates = result.iterations
         assert trials > iterates + 10  # halvings happened
-        assert len(sorts) == 2 * iterates
+        assert len(sorts) == iterates

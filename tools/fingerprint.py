@@ -15,13 +15,17 @@ installed copy, never perfbench) and prints one SHA-256 line per part:
 - refine-1d: the sup_tv lists of refinement_study on nonlinear-cos for
   both variants (eps0 0.1, pairs 6, max_outer 25, n = 1000);
 - randcos2d: the solve_payoff outcome on nonlinear-randcos2d, seeds 0-7,
-  from the uniform density, 50 x 50 intervals.
+  from the uniform density, 50 x 50 intervals;
+- randcos2d-flows: the 32 run_flow results of the linear and nonlinear
+  randcos2d presets x seeds 0-7 x both variants from the uniform
+  density, 20 x 20 intervals, whose many near-maximal regions make the
+  eikonal runs the most sensitive to the distance field.
 
 A run_flow result hashes every field of every IterationRecord, the
 termination and convergence flag, and the bytes of the final m and
 theta.  A solve_payoff outcome hashes the bytes of theta (zero after a
 TrivialBranchWarning) or the SolverError and its residual, then the
-class of every warning raised.  Two checkouts that print the same five
+class of every warning raised.  Two checkouts that print the same six
 lines produce the same trajectories to the bit on these inputs.
 """
 
@@ -52,18 +56,25 @@ def _floats(*values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-def _flow_runs(names, grid, digest):
+def _flow_runs(names, grid, digest, seeds=None):
+    """Hash run_flow from the uniform density for each preset and variant;
+    with seeds, once per random cosine draw, the seed tagged in the hash."""
     m0 = mfgflow.normalize(np.ones(grid.shape), grid)
     for name in names:
         preset = mfgflow.PRESETS[name]
-        for variant in VARIANTS:
-            cfg = mfgflow.FlowConfig(variant=variant, eps0=preset.default_eps0)
-            result = mfgflow.run_flow(mfgflow.build_model(preset, grid), m0, cfg)
-            digest.update(f"{name}/{variant}:{result.termination}:{result.converged}".encode())
-            for record in result.records:
-                digest.update(_floats(*astuple(record)))
-            digest.update(result.m.values.tobytes())
-            digest.update(result.theta.values.tobytes())
+        for seed in seeds or [None]:
+            tag = name if seed is None else f"{name}/{seed}"
+            for variant in VARIANTS:
+                cfg = mfgflow.FlowConfig(variant=variant, eps0=preset.default_eps0)
+                model = mfgflow.build_model(preset, grid, seed=seed or 0)
+                result = mfgflow.run_flow(model, m0, cfg)
+                digest.update(
+                    f"{tag}/{variant}:{result.termination}:{result.converged}".encode()
+                )
+                for record in result.records:
+                    digest.update(_floats(*astuple(record)))
+                digest.update(result.m.values.tobytes())
+                digest.update(result.theta.values.tobytes())
 
 
 def presets_1d(digest):
@@ -115,12 +126,18 @@ def randcos2d(digest):
             digest.update(f"warning:{warning.category.__name__}".encode())
 
 
+def randcos2d_flows(digest):
+    names = ["linear-randcos2d", "nonlinear-randcos2d"]
+    _flow_runs(names, mfgflow.make_grid(2, 20), digest, seeds=range(8))
+
+
 PARTS = {
     "presets-1d": presets_1d,
     "presets-2d": presets_2d,
     "stress-1d": stress_1d,
     "refine-1d": refine_1d,
     "randcos2d": randcos2d,
+    "randcos2d-flows": randcos2d_flows,
 }
 
 
