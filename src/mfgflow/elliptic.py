@@ -75,10 +75,11 @@ class NonlinearSolveOptions:
     per-node grid weight, i.e. the solve stops once the strong-form
     stationarity residual max |Lap(theta) + F'(theta)/mu| drops below
     grad_tol / spacing^dim.  max_iters caps the Newton steps of one
-    descent.  Converging solves take at most 6 (exact steps, 1D) and 8
-    (inexact steps from conjugate gradients, 2D) in the tests, the
-    benchmark and the nonlinear-randcos2d payoffs of seeds 0-7 at 21^2
-    to 101^2 nodes; the default leaves more than three times that.
+    descent.  The benchmark's flows take at most 6 (exact steps, 1D) and
+    5 (inexact CG steps, 2D), but a flow can need far more: on
+    nonlinear-randcos2d seed 5 at 51^2 one solve takes 199, so with the
+    default 50 both variants end solver_failed after 5 steps (at 7.65
+    and 8.07 tau); a cap of 400 converges in 11 and 14 steps.
     """
 
     grad_tol: float = 1e-8

@@ -38,51 +38,49 @@ class ExpressionError(ValueError):
     """Coefficient expression outside the supported grammar."""
 
 
+def _walk(node, names: dict, expr: str):
+    """Value of one node of the parsed expr; names maps identifiers to values."""
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, (int, float)):
+            return float(node.value)
+        raise ExpressionError(f"non-numeric constant {node.value!r}")
+    if isinstance(node, ast.Name):
+        if node.id in names:
+            return names[node.id]
+        raise ExpressionError(f"unknown identifier {node.id!r}")
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        val = _walk(node.operand, names, expr)
+        return -val if isinstance(node.op, ast.USub) else val
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        args = (_walk(node.left, names, expr), _walk(node.right, names, expr))
+        return _BINOPS[type(node.op)](*args)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        fn = _FUNCTIONS.get(node.func.id)
+        if fn is None:
+            raise ExpressionError(f"unknown function {node.func.id!r}")
+        if node.keywords:
+            raise ExpressionError("keyword arguments are not supported")
+        args = [_walk(a, names, expr) for a in node.args]
+        if node.func.id == "max" and len(args) != 2:
+            raise ExpressionError("max takes exactly two arguments")
+        if node.func.id != "max" and len(args) != 1:
+            raise ExpressionError(f"{node.func.id} takes exactly one argument")
+        return fn(*args)
+    raise ExpressionError(f"unsupported syntax in {expr!r}")
+
+
 def evaluate_expression(expr: str, grid: Grid) -> np.ndarray:
-    """Evaluate a coefficient expression on every grid node."""
-    coords = grid.coords()
-    names = {"x": coords[0], "pi": np.pi}
-    if grid.dim == 2:
-        names["y"] = coords[1]
+    """Evaluate a coefficient expression on every grid node.  The walk makes
+    no reference cycle, so its arrays are freed when this returns or raises."""
+    names = dict(zip("xy", grid.coords()), pi=np.pi)
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {expr!r}: {exc}") from exc
-
-    def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)):
-                return float(node.value)
-            raise ExpressionError(f"non-numeric constant {node.value!r}")
-        if isinstance(node, ast.Name):
-            if node.id in names:
-                return names[node.id]
-            raise ExpressionError(f"unknown identifier {node.id!r}")
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            val = walk(node.operand)
-            return -val if isinstance(node.op, ast.USub) else val
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            return _BINOPS[type(node.op)](walk(node.left), walk(node.right))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            fn = _FUNCTIONS.get(node.func.id)
-            if fn is None:
-                raise ExpressionError(f"unknown function {node.func.id!r}")
-            if node.keywords:
-                raise ExpressionError("keyword arguments are not supported")
-            args = [walk(a) for a in node.args]
-            if node.func.id == "max" and len(args) != 2:
-                raise ExpressionError("max takes exactly two arguments")
-            if node.func.id != "max" and len(args) != 1:
-                raise ExpressionError(f"{node.func.id} takes exactly one argument")
-            return fn(*args)
-        raise ExpressionError(f"unsupported syntax in {expr!r}")
-
     # a pole or overflow yields inf/nan, which ModelSpec rejects by name;
     # numpy's floating-point warnings would only duplicate that message
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = walk(tree)
+        values = _walk(tree.body, names, expr)
     return np.broadcast_to(np.asarray(values, dtype=float), grid.shape).copy()
 
 

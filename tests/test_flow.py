@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mfgflow import (
     ScalarField,
     SolverError,
     build_model,
+    elliptic,
     flow,
     integrate,
     make_grid,
@@ -351,6 +353,28 @@ class TestRunFlow:
         grid = make_grid(1, 10_000)
         m0 = normalize(np.ones(grid.shape), grid)
         assert_stall(grid, m0, 51, 581, 2.2834319252582613e-3, best=52)
+
+    @pytest.mark.parametrize(
+        "variant, steps, residual",
+        [("best_response", 11, 7.652489958260874), ("eikonal", 14, 8.074448715012213)],
+    )
+    def test_randcos2d_flow_outruns_the_newton_step_cap(
+        self, monkeypatch, variant, steps, residual
+    ):
+        # a known failure, recorded as it is: nonlinear-randcos2d seed 5 at
+        # 51^2 ends solver_failed after 5 steps, at `residual` tau, because
+        # one payoff solve needs 199 Newton steps; a cap of 400 converges
+        grid = make_grid(2, 50)
+        preset = PRESETS["nonlinear-randcos2d"]
+        m0 = normalize(np.ones(grid.shape), grid)
+        config = FlowConfig(variant=variant, eps0=preset.default_eps0)
+        result = run_flow(build_model(preset, grid, seed=5), m0, config)
+        assert (result.termination, result.iterations) == ("solver_failed", 5)
+        assert result.final_residual / grid.spacing == pytest.approx(residual, rel=1e-9)
+        options = partial(elliptic.NonlinearSolveOptions, max_iters=400)
+        monkeypatch.setattr(elliptic, "NonlinearSolveOptions", options)
+        result = run_flow(build_model(preset, grid, seed=5), m0, config)
+        assert result.converged and result.iterations == steps
 
     def test_invariants_along_run(self, grid, uniform):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
