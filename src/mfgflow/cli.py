@@ -29,8 +29,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import diagnostics
-from .elliptic import SolverError
-from .flow import FlowConfig, _distance_field, run_flow
+from .elliptic import COEFFICIENTS, SolverError
+from .flow import VARIANTS, FlowConfig, _distance_field, run_flow
 from .grid import make_grid
 from .measures import Density, normalize
 from .presets import PRESETS, Preset, build_model
@@ -41,6 +41,8 @@ EXIT_CONFIG = 3
 EXIT_SOLVER = 4
 
 RUN_COMMANDS = ("solve", "refine", "stress", "trace")
+# the model keys of a config file: every coefficient some model kind reads
+MODEL_KEYS = tuple(sorted(set().union(*COEFFICIENTS.values())))
 
 
 class ConfigError(ValueError):
@@ -126,16 +128,15 @@ class Option:
 OPTIONS = (
     Option("preset", flag="--preset", choices=tuple(sorted(PRESETS)),
            help="named experiment"),
-    Option("kind", choices=("linear", "nonlinear")),
-    Option("f"),
-    Option("P"),
-    Option("K"),
+    Option("kind", choices=tuple(COEFFICIENTS)),
+    *(Option(key) for key in MODEL_KEYS),
     Option("mu", float, 0.1),
     Option("dim", int, flag="--dim", choices=(1, 2)),
     Option("n", int, flag="--grid", help="intervals per axis"),
     # best_response, the library's spelling, is read as best-response
     Option("variant", lambda text: text.replace("_", "-"), "best-response", flag="--variant",
-           choices=("best-response", "eikonal"), commands=("solve", "refine", "trace")),
+           choices=tuple(v.replace("_", "-") for v in VARIANTS),
+           commands=("solve", "refine", "trace")),
     Option("eps0", float, flag="--eps0", help="initial step mass"),
     Option("eps_min", float, flag="--eps-min", commands=("solve", "stress", "trace")),
     Option("max_outer", int, 100, flag="--max-outer"),
@@ -211,26 +212,25 @@ def _materialize(rc: SimpleNamespace):
 
     A config file's model keys form a Preset named after its kind, so
     both routes build their model with build_model; a model key its
-    route does not read is refused.  Every ValueError raised while
-    building them is reported as a ConfigError.
+    route does not read is refused, and ModelSpec refuses a missing
+    coefficient.  Every ValueError raised while building them is
+    reported as a ConfigError.
     """
     try:
         if rc.preset is not None:
-            preset, unread = PRESETS[rc.preset], ("kind", "f", "P", "K")
+            preset, read = PRESETS[rc.preset], ()
             if rc.dim is not None and rc.dim != preset.dim:
                 raise ConfigError(f"preset {rc.preset!r} is {preset.dim}D")
         elif rc.kind is None:
-            raise ConfigError("need --preset, or kind = linear|nonlinear in the config")
+            raise ConfigError(f"need --preset, or kind = {'|'.join(COEFFICIENTS)} in the config")
         else:
             if rc.dim is None:
                 raise ConfigError("expression-built models need dim")
-            linear = rc.kind == "linear"
-            needed, unread = (("f", "P"), ("K",)) if linear else (("K",), ("f", "P"))
-            if any(getattr(rc, key) is None for key in needed):
-                raise ConfigError(f"{rc.kind} models need {' and '.join(needed)}")
-            preset = Preset(rc.kind, rc.kind, rc.dim, rc.f if linear else rc.K, P=rc.P)
-        for key in unread:
-            if getattr(rc, key) is not None:
+            coefficients = COEFFICIENTS[rc.kind]
+            given = {key: getattr(rc, key) for key in coefficients if getattr(rc, key) is not None}
+            preset, read = Preset(rc.kind, rc.kind, rc.dim, given), ("kind", *coefficients)
+        for key in ("kind", *MODEL_KEYS):
+            if key not in read and getattr(rc, key) is not None:
                 route = "beside a preset" if rc.preset else f"by a {rc.kind} model"
                 raise ConfigError(f"config key {key!r} is not read {route}")
         grid = make_grid(preset.dim, rc.n)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .eikonal import solve_eikonal
 from .elliptic import ModelSpec, pde_residual, solve_linear, solve_nonlinear
-from .flow import FlowConfig, FlowResult, nash_gap, run_flow, select_lowest_income
+from .flow import VARIANTS, FlowConfig, FlowResult, nash_gap, run_flow, select_lowest_income
 from .grid import integrate, make_grid
 from .measures import (
     Density, ScalarField, density_grid, grid_of, normalize, random_density
@@ -66,14 +66,11 @@ def functional_trace(result: FlowResult, variant: str):
     """
     if not result.records:
         raise ValueError("flow result carries no records")
-    t = np.array([rec.mass_cum for rec in result.records])
-    if variant == "best_response":
-        phi = np.array([rec.residual for rec in result.records])
-    elif variant == "eikonal":
-        phi = np.array([rec.sup_theta for rec in result.records])
-    else:
+    if variant not in VARIANTS:
         raise ValueError(f"unknown flow variant {variant!r}")
-    return t, phi
+    t = np.array([rec.mass_cum for rec in result.records])
+    objective = "residual" if variant == "best_response" else "sup_theta"
+    return t, np.array([getattr(rec, objective) for rec in result.records])
 
 
 def refinement_study(
@@ -134,7 +131,7 @@ def stress_test(model: ModelSpec, grid, cfg: FlowConfig, seeds) -> list[StressRo
     rows = []
     for seed in seeds:
         m0 = random_density(seed, grid)
-        for variant in ("best_response", "eikonal"):
+        for variant in VARIANTS:
             result = run_flow(model, m0, replace(cfg, variant=variant))
             rows.append(
                 StressRow(

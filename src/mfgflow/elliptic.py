@@ -92,17 +92,22 @@ class NonlinearSolveOptions:
             raise ValueError("max_iters must be at least 1")
 
 
+# The payoff-model kinds and the coefficients each reads and requires.
+COEFFICIENTS = {"linear": ("P", "f"), "nonlinear": ("K",)}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Descriptor of the payoff PDE, an immutable value.
 
-    kind is "linear" (fields mu, P, f) or "nonlinear" (fields mu, K).
-    mu is a real number (not a bool or an array).  The coefficients P,
-    f and K are scalars or arrays matching the solve grid (a model has
-    no grid of its own); they are broadcast at solve time, and an array
-    is kept as a read-only float64 copy, apart from the caller's.
-    Instances cache their operators per grid, one entry per (dim, n);
-    dataclasses.replace builds a model with an empty cache.
+    kind is a key of COEFFICIENTS, and the model takes exactly the
+    coefficients listed there: a missing one, or one its kind does not
+    read, is refused by name.  mu is a real number; each coefficient a
+    real number or an array matching the solve grid (a model has no
+    grid of its own), broadcast at solve time.  Neither may be a bool.
+    An array is kept as a read-only float64 copy, apart from the
+    caller's.  Instances cache their operators per grid, one entry per
+    (dim, n); dataclasses.replace builds a model with an empty cache.
     """
 
     kind: str
@@ -113,36 +118,35 @@ class ModelSpec:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("linear", "nonlinear"):
+        if self.kind not in COEFFICIENTS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        needed = COEFFICIENTS[self.kind]
         for name in ("mu", "P", "f", "K"):
-            if isinstance(getattr(self, name), ScalarField):
+            value = getattr(self, name)
+            if name not in ("mu", *needed) and value is not None:
+                raise ValueError(f"a {self.kind} model has no coefficient {name!r}")
+            if isinstance(value, ScalarField):
                 raise ValueError(f"{name} is a ScalarField; pass its .values")
-        if not isinstance(self.mu, numbers.Real) or isinstance(self.mu, bool):
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
+        if not isinstance(self.mu, numbers.Real):
             raise ValueError(f"mu must be a real number, got {type(self.mu).__name__}")
         if not np.isfinite(self.mu) or self.mu <= 0.0:
             raise ValueError("viscosity mu must be positive and finite")
-        for name in ("P", "f", "K"):
+        if any(getattr(self, name) is None for name in needed):
+            raise ValueError(f"{self.kind} model needs {' and '.join(needed)}")
+        for name in needed:
             coef = getattr(self, name)
-            if coef is not None and not isinstance(coef, numbers.Real):
+            if not isinstance(coef, numbers.Real):
                 coef = np.array(coef, dtype=float)
                 coef.flags.writeable = False
                 object.__setattr__(self, name, coef)
-            if coef is not None and not np.isfinite(coef).all():
+            if not np.isfinite(coef).all():
                 raise ValueError(f"{name} must be finite everywhere")
-        if self.kind == "linear":
-            if self.P is None or self.f is None:
-                raise ValueError("linear model needs P and f")
-            for name, coef in (("P", self.P), ("f", self.f)):
-                if np.min(coef) < 0.0:
-                    raise ValueError(f"{name} must be nonnegative")
-                if np.max(coef) <= 0.0:
-                    raise ValueError(f"{name} must not be identically zero")
-        else:
-            if self.K is None:
-                raise ValueError("nonlinear model needs K")
-            if np.max(self.K) <= 0.0:
-                raise ValueError("K must be positive somewhere")
+            if self.kind == "linear" and np.min(coef) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
+            if np.max(coef) <= 0.0:
+                raise ValueError(f"{name} must be positive somewhere")
 
     @classmethod
     def linear(cls, mu, P, f) -> "ModelSpec":
@@ -153,8 +157,8 @@ class ModelSpec:
         return cls(kind="nonlinear", mu=mu, K=K)
 
     def coefficient(self, name: str, grid: Grid) -> np.ndarray:
-        """P or f of a linear model, or K of a harvesting one, on the grid."""
-        if name not in (("P", "f") if self.kind == "linear" else ("K",)):
+        """One of the coefficients COEFFICIENTS lists for the model's kind, on the grid."""
+        if name not in COEFFICIENTS[self.kind]:
             raise ValueError(f"a {self.kind} model has no coefficient {name!r}")
         return np.broadcast_to(np.asarray(getattr(self, name), dtype=float), grid.shape)
 
@@ -225,10 +229,8 @@ class _Operators:
     # mu (-Lap) + diag(P) for the linear model; the other is None
     lap: tuple | sp.csr_matrix | None
     system: tuple | sp.csc_matrix | None
-    # the model's coefficients on the grid (P and f linear, K harvesting)
-    P: np.ndarray | None
-    f: np.ndarray | None
-    K: np.ndarray | None
+    # the model's coefficients on the grid, by name as COEFFICIENTS lists them
+    coefs: dict[str, np.ndarray]
     # factorization of system: dgttrf's outputs in 1D, SuperLU in 2D
     # when P varies over the grid; None otherwise
     lu: object
@@ -278,10 +280,11 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
     key = (grid.dim, grid.n)
     ops = model._cache.get(key)
     if ops is None:
+        coefs = {name: model.coefficient(name, grid) for name in COEFFICIENTS[model.kind]}
         lap = _laplacian_bands(grid) if grid.dim == 1 else neumann_laplacian(grid)
         lu = eig = None
         if model.kind == "linear":
-            P = model.coefficient("P", grid)
+            P = coefs["P"]
             if grid.dim == 1:
                 # to the bit the bands of the assembled (mu lap + diag(P)).tocsc()
                 lower, diag, upper = (model.mu * band for band in lap)
@@ -297,14 +300,11 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
             # every row of |-Lap| sums to 4 dim / dx^2, reflected rows too,
             # and P >= 0: within one ulp of the summed max row of |system|
             norm = model.mu * (4.0 * grid.dim / grid.spacing**2) + float(P.max())
-            ops = _Operators(
-                None, system, P, model.coefficient("f", grid), None, lu, norm, eig
-            )
+            ops = _Operators(None, system, coefs, lu, norm, eig)
         else:
             if grid.dim == 2:
                 eig = _laplacian_eigenvalues(grid)
-            K = model.coefficient("K", grid)
-            ops = _Operators(lap, None, None, None, K, None, None, eig)
+            ops = _Operators(lap, None, coefs, None, None, eig)
         model._cache[key] = ops
     return ops
 
@@ -332,7 +332,7 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
         raise ValueError("solve_linear needs a linear model")
     grid = grid_of(m)
     ops = _operators(model, grid)
-    rhs = (ops.f - m.values).ravel()
+    rhs = (ops.coefs["f"] - m.values).ravel()
     if grid.dim == 1:
         theta, _ = dgttrs(*ops.lu, rhs)
     elif ops.eig is None:
@@ -394,7 +394,7 @@ def solve_nonlinear(
     grid = grid_of(m) if theta0 is None else grid_of(m, theta0)
     ops = _operators(model, grid)
     lap, w = ops.lap, grid.quad_weights
-    K = ops.K
+    K = ops.coefs["K"]
     m_vals = m.values
     mu = model.mu
     strong_tol = opts.grad_tol / grid.spacing**grid.dim
@@ -494,12 +494,12 @@ def _energy_increment(lap, w, mu, fprime, fsecond, theta, delta):
     The objective is cubic in theta, so the difference has a closed form
     in F'(theta) and F''(theta), free of the cancellation of taking J twice.
     """
-    quad = delta.ravel() @ (w * _product(lap, theta + 0.5 * delta)).ravel()
+    # np.add.reduce: np.sum without its wrapper, and no BLAS dot, which OpenBLAS may thread
+    quad = np.add.reduce(delta * (w * _product(lap, theta + 0.5 * delta)), axis=None)
     # numpy sends an array **3 to libm pow per element, about 50x slower
     # than multiplying; delta**2 is np.square, bit-equal to delta * delta
     d2 = delta * delta
     d_primitive = fprime * delta + 0.5 * fsecond * d2 - d2 * delta / 3.0
-    # np.add.reduce is what np.sum calls, without its wrapper
     return quad - np.add.reduce(w * d_primitive, axis=None) / mu
 
 
@@ -530,9 +530,9 @@ def pde_residual(model: ModelSpec, m: ScalarField, theta: ScalarField) -> float:
     m_vals, th = m.values, theta.values
     ops = _operators(model, grid)
     if model.kind == "linear":
-        res = _product(ops.system, th) - (ops.f - m_vals)
+        res = _product(ops.system, th) - (ops.coefs["f"] - m_vals)
     else:
-        res = model.mu * _product(ops.lap, th) - th * (ops.K - th) + m_vals * th
+        res = model.mu * _product(ops.lap, th) - th * (ops.coefs["K"] - th) + m_vals * th
     return float(np.abs(res).max())
 
 
@@ -543,8 +543,8 @@ def plateau_density(model: ModelSpec, grid: Grid, theta_bar: float) -> ScalarFie
     (linear) or m = K - theta_bar (harvesting).  The flow rebuilds mass
     on the payoff plateau up to this height.
     """
-    ops = _operators(model, grid)
-    values = ops.f - ops.P * theta_bar if model.kind == "linear" else ops.K - theta_bar
+    c = _operators(model, grid).coefs
+    values = c["f"] - c["P"] * theta_bar if model.kind == "linear" else c["K"] - theta_bar
     return ScalarField(values, grid)
 
 

@@ -53,6 +53,9 @@ from .measures import (
 # separated maxima.
 TARGET_GAP_FRACTION = 0.7
 
+# The flow variants: a step moves the lowest-income mass, or the farthest from the target.
+VARIANTS = ("best_response", "eikonal")
+
 
 class RedistributionShortfallError(RuntimeError):
     """The plateau cannot absorb eps; the step size must shrink."""
@@ -78,7 +81,7 @@ class FlowConfig:
     keep_trajectory: bool = False
 
     def __post_init__(self):
-        if self.variant not in ("best_response", "eikonal"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown flow variant {self.variant!r}")
         if not 0.0 < self.eps_min <= self.eps0 <= 1.0:
             raise ValueError("need 0 < eps_min <= eps0 <= 1")

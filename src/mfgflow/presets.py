@@ -10,7 +10,9 @@ numpy broadcasting; nothing else is accepted.
 from __future__ import annotations
 
 import ast
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,7 +43,7 @@ class ExpressionError(ValueError):
 def _walk(node, names: dict, expr: str):
     """Value of one node of the parsed expr; names maps identifiers to values."""
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)):
+        if type(node.value) in (int, float):  # not a bool
             return float(node.value)
         raise ExpressionError(f"non-numeric constant {node.value!r}")
     if isinstance(node, ast.Name):
@@ -87,38 +89,37 @@ def evaluate_expression(expr: str, grid: Grid) -> np.ndarray:
 @dataclass(frozen=True)
 class Preset:
     """A named payoff configuration: the model kind, its dimension and
-    its coefficients as expressions, built on a grid by build_model.
-    The model keys of a config file form a Preset named after its kind."""
+    its coefficients as expressions keyed by coefficient name (a None
+    expression: the seeded random cosine sum), built on a grid by
+    build_model.  The model keys of a config file form a Preset named
+    after its kind."""
 
     name: str
-    kind: str  # linear | nonlinear
+    kind: str  # a key of elliptic.COEFFICIENTS
     dim: int
-    coefficient: str | None  # expression for f (linear) or K; None: seeded cosine sum
-    P: str | None = None  # expression, linear only
+    coefficients: Mapping[str, str | None]  # kept as a read-only copy
     default_eps0: float = 0.1
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", MappingProxyType(dict(self.coefficients)))
 
 
 _GAUSS2D = "5*exp(-((x-1)*(x-1)+(y-1)*(y-1))/0.5)"
 
 PRESETS = {
-    "linear-4x": Preset("linear-4x", "linear", 1, "4*x", P="0.5"),
-    "linear-sin": Preset("linear-sin", "linear", 1, "max(0, 9*x*sin(5*pi*x))", P="0.5"),
-    "linear-cos": Preset("linear-cos", "linear", 1, "15*(cos(2*pi*x)+1)", P="0.5"),
-    "nonlinear-4x": Preset("nonlinear-4x", "nonlinear", 1, "4*x"),
-    "nonlinear-sin": Preset("nonlinear-sin", "nonlinear", 1, "max(0, 9*x*sin(5*pi*x))"),
-    "nonlinear-cos": Preset("nonlinear-cos", "nonlinear", 1, "15*(cos(2*pi*x)+1)"),
-    "linear-gauss2d": Preset(
-        "linear-gauss2d", "linear", 2, _GAUSS2D, P="1", default_eps0=0.5
-    ),
-    "nonlinear-gauss2d": Preset(
-        "nonlinear-gauss2d", "nonlinear", 2, _GAUSS2D, default_eps0=0.25
-    ),
-    "linear-randcos2d": Preset(
-        "linear-randcos2d", "linear", 2, None, P="1", default_eps0=0.5
-    ),
-    "nonlinear-randcos2d": Preset(
-        "nonlinear-randcos2d", "nonlinear", 2, None, default_eps0=0.25
-    ),
+    preset.name: preset
+    for preset in (
+        Preset("linear-4x", "linear", 1, {"P": "0.5", "f": "4*x"}),
+        Preset("linear-sin", "linear", 1, {"P": "0.5", "f": "max(0, 9*x*sin(5*pi*x))"}),
+        Preset("linear-cos", "linear", 1, {"P": "0.5", "f": "15*(cos(2*pi*x)+1)"}),
+        Preset("nonlinear-4x", "nonlinear", 1, {"K": "4*x"}),
+        Preset("nonlinear-sin", "nonlinear", 1, {"K": "max(0, 9*x*sin(5*pi*x))"}),
+        Preset("nonlinear-cos", "nonlinear", 1, {"K": "15*(cos(2*pi*x)+1)"}),
+        Preset("linear-gauss2d", "linear", 2, {"P": "1", "f": _GAUSS2D}, 0.5),
+        Preset("nonlinear-gauss2d", "nonlinear", 2, {"K": _GAUSS2D}, 0.25),
+        Preset("linear-randcos2d", "linear", 2, {"P": "1", "f": None}, 0.5),
+        Preset("nonlinear-randcos2d", "nonlinear", 2, {"K": None}, 0.25),
+    )
 }
 
 
@@ -147,18 +148,17 @@ def random_cosine_sum(seed: int, grid: Grid) -> np.ndarray:
 def build_model(preset: Preset, grid: Grid, seed: int = 0, mu: float = 0.1) -> ModelSpec:
     """Instantiate the payoff model of a preset on a grid.
 
-    The coefficient expressions are evaluated on the grid's nodes (a
-    preset without a coefficient expression draws it from seed as a
-    random cosine sum), so every coefficient of the model is an array.
+    Each coefficient expression is evaluated on the grid's nodes (a None
+    expression draws the coefficient from seed as a random cosine sum),
+    so every coefficient of the model is an array.  ModelSpec refuses a
+    coefficient the preset's kind does not read, and a missing one.
     """
     if grid.dim != preset.dim:
         raise ValueError(
             f"preset {preset.name!r} is {preset.dim}D but the grid is {grid.dim}D"
         )
-    if preset.coefficient is None:
-        coef = random_cosine_sum(seed, grid)
-    else:
-        coef = evaluate_expression(preset.coefficient, grid)
-    if preset.kind == "linear":
-        return ModelSpec.linear(mu=mu, P=evaluate_expression(preset.P, grid), f=coef)
-    return ModelSpec.nonlinear(mu=mu, K=coef)
+    evaluated = {
+        name: random_cosine_sum(seed, grid) if expr is None else evaluate_expression(expr, grid)
+        for name, expr in preset.coefficients.items()
+    }
+    return ModelSpec(preset.kind, mu, **evaluated)

@@ -125,7 +125,7 @@ class TestModelSpec:
 
     @pytest.mark.parametrize("name", ["K", "mu", "kind", "g"])
     def test_linear_coefficient_refuses_other_names(self, name):
-        model = ModelSpec(kind="linear", mu=0.1, P=0.5, f=1.0, K=2.0)
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=1.0)
         with pytest.raises(ValueError, match=f"a linear model has no coefficient '{name}'"):
             model.coefficient(name, make_grid(1, 10))
 
@@ -159,6 +159,29 @@ class TestModelSpec:
         # theta == 0 is then the only solution
         with pytest.raises(ValueError, match="K must be positive somewhere"):
             ModelSpec.nonlinear(mu=0.1, K=K)
+
+    @pytest.mark.parametrize("kind, coefficients, name", [
+        ("linear", {"P": 0.5, "f": 1.0, "K": 2.0}, "K"),
+        ("linear", {"P": 0.5, "f": 1.0, "K": np.ones(11)}, "K"),
+        ("nonlinear", {"K": 4.0, "P": 0.5}, "P"),
+        ("nonlinear", {"K": 4.0, "f": 1.0}, "f"),
+        ("nonlinear", {"K": 4.0, "P": -1.0}, "P"),
+        ("nonlinear", {"K": 4.0, "P": -1.0, "f": 2.0}, "P"),
+    ], ids=["linear-K", "linear-K-array", "harvesting-P", "harvesting-f",
+            "harvesting-negative-P", "harvesting-P-and-f"])
+    def test_coefficient_the_kind_does_not_read_refused(self, kind, coefficients, name):
+        with pytest.raises(ValueError, match=f"a {kind} model has no coefficient '{name}'"):
+            ModelSpec(kind=kind, mu=0.1, **coefficients)
+
+    @pytest.mark.parametrize("kind, coefficients, name", [
+        ("linear", {"P": True, "f": 1.0}, "P"),
+        ("linear", {"P": 0.5, "f": True}, "f"),
+        ("linear", {"P": np.True_, "f": 1.0}, "P"),
+        ("nonlinear", {"K": True}, "K"),
+    ], ids=["P", "f", "numpy-bool-P", "K"])
+    def test_bool_scalar_coefficient_refused(self, kind, coefficients, name):
+        with pytest.raises(ValueError, match=f"{name} must be a real number, got bool"):
+            ModelSpec(kind=kind, mu=0.1, **coefficients)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

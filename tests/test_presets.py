@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mfgflow import make_grid
+from mfgflow.elliptic import COEFFICIENTS
 from mfgflow.presets import (
     PRESETS,
     ExpressionError,
@@ -23,6 +24,8 @@ REJECTED = {
     "sin(x, 2)": "sin takes exactly one argument",
     "lambda: 1": "unsupported syntax in 'lambda: 1'",
     "'str'": "non-numeric constant 'str'",
+    "True": "non-numeric constant True",
+    "4*x + False": "non-numeric constant False",
     "open": "unknown identifier 'open'",
     "4*": "cannot parse '4*': ",
     "max(x, key=1)": "keyword arguments are not supported",
@@ -75,10 +78,34 @@ class TestPresets:
 
     def test_every_coefficient_is_an_evaluated_expression(self, grid):
         x = grid.axes[0]
-        model = build_model(Preset("linear", "linear", 1, "4*x", P="0.5 + x"), grid)
+        model = build_model(Preset("linear", "linear", 1, {"P": "0.5 + x", "f": "4*x"}), grid)
         assert np.array_equal(model.P, 0.5 + x)
         assert np.array_equal(model.f, 4 * x)
         assert np.array_equal(build_model(PRESETS["linear-4x"], grid).P, np.full(101, 0.5))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_coefficients_are_the_kinds_table_entry(self, name):
+        preset = PRESETS[name]
+        assert tuple(preset.coefficients) == COEFFICIENTS[preset.kind]
+
+    @pytest.mark.parametrize("extra", [{"P": "0.5"}, {"P": "-1"}, {"f": "4*x"}])
+    def test_harvesting_preset_carrying_a_linear_coefficient_refused(self, grid, extra):
+        preset = Preset("carrying", "nonlinear", 1, {"K": "4*x", **extra})
+        (name,) = extra
+        with pytest.raises(ValueError, match=f"a nonlinear model has no coefficient '{name}'"):
+            build_model(preset, grid)
+
+    def test_preset_missing_a_coefficient_refused(self, grid):
+        with pytest.raises(ValueError, match="linear model needs P and f"):
+            build_model(Preset("no-P", "linear", 1, {"f": "4*x"}), grid)
+
+    def test_preset_coefficients_are_a_read_only_copy(self, grid):
+        expressions = {"P": "0.5", "f": "4*x"}
+        preset = Preset("copy", "linear", 1, expressions)
+        expressions["f"] = "9*x"
+        with pytest.raises(TypeError):
+            preset.coefficients["f"] = "9*x"
+        assert np.array_equal(build_model(preset, grid).f, 4 * grid.axes[0])
 
     def test_dim_mismatch_rejected(self, grid):
         with pytest.raises(ValueError):

@@ -66,7 +66,7 @@ def raising(error, fn, *args):
 
 @pytest.mark.parametrize(
     "expr, dim",
-    [("max(0, 9*x*sin(5*pi*x))", 1), (PRESETS["linear-gauss2d"].coefficient, 2)],
+    [("max(0, 9*x*sin(5*pi*x))", 1), (PRESETS["linear-gauss2d"].coefficients["f"], 2)],
     ids=["sin-1d", "gauss-2d"],
 )
 def test_evaluate_expression(expr, dim):

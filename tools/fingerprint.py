@@ -48,8 +48,8 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 import mfgflow  # noqa: E402
-
-VARIANTS = ("best_response", "eikonal")
+from mfgflow.elliptic import COEFFICIENTS  # noqa: E402
+from mfgflow.flow import VARIANTS  # noqa: E402
 
 
 def _floats(*values) -> bytes:
@@ -78,8 +78,7 @@ def _flow_runs(names, grid, digest, seeds=None):
 
 
 def presets_1d(digest):
-    names = [f"{kind}-{shape}" for kind in ("linear", "nonlinear")
-             for shape in ("4x", "sin", "cos")]
+    names = [f"{kind}-{shape}" for kind in COEFFICIENTS for shape in ("4x", "sin", "cos")]
     _flow_runs(names, mfgflow.make_grid(1, 1000), digest)
 
 
