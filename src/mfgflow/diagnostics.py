@@ -34,8 +34,10 @@ class StudyError(RuntimeError):
 class RefinementStudy:
     """Results of the step-size refinement study.
 
-    Each level k runs the flow with fixed step epsilons[k] = eps0 / 2^k,
-    taking runtimes[k] seconds.  sup_tv[k] is the supremum over the
+    Each level k runs the flow with fixed step epsilons[k] = eps0 / 2^k
+    for at most the steps the compared window reaches (see
+    refinement_study); runtimes[k] is the wall time of that capped run,
+    in seconds.  sup_tv[k] is the supremum over the
     common time window of the TV distance between the level-k and
     level-(k+1) trajectories, both read as piecewise-constant functions
     of transported mass, taken exactly: the max over every step of
@@ -89,8 +91,16 @@ def refinement_study(
     trajectories over the time window covered by every level.  Level k
     holds its j-th density on [j, j+1) eps_k, so step j of level k+1
     meets step j // 2 of level k, and the sup is the max over those
-    steps.  Raises StudyError when a level stops with termination
-    "shortfall" or "solver_failed".
+    steps.
+
+    Level k runs at most ceil(max_outer / 2^(pairs - k)) steps: a
+    fixed-step trajectory depends on max_outer only where it stops, so a
+    capped level is a prefix of the uncapped one, and since every cap
+    covers max_outer finest steps the window and sup_tv are the same as
+    with max_outer steps at every level.  Raises StudyError when a level
+    stops with termination "shortfall" or "solver_failed" within its
+    cap; a step past the cap is never compared, so it is never taken
+    and cannot stop the study.
     """
     if pairs < 1:
         raise ValueError("need at least one consecutive pair")
@@ -99,7 +109,8 @@ def refinement_study(
     trajectories = []
     runtimes = []
     for k, eps in enumerate(epsilons):
-        cfg = FlowConfig(variant=variant, eps0=eps0, tau=tau, max_outer=max_outer,
+        cap = -(-max_outer // 2 ** (pairs - k))  # ceil(max_outer / 2^(pairs - k))
+        cfg = FlowConfig(variant=variant, eps0=eps0, tau=tau, max_outer=cap,
                          fixed_eps=eps, keep_trajectory=True)
         start = time.perf_counter()
         result = run_flow(model, m0, cfg)

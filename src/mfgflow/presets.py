@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .elliptic import ModelSpec
+from .elliptic import COEFFICIENTS, ModelSpec
 from .grid import Grid
 from .measures import seeded_draw
 
@@ -150,13 +150,19 @@ def build_model(preset: Preset, grid: Grid, seed: int = 0, mu: float = 0.1) -> M
 
     Each coefficient expression is evaluated on the grid's nodes (a None
     expression draws the coefficient from seed as a random cosine sum),
-    so every coefficient of the model is an array.  ModelSpec refuses a
-    coefficient the preset's kind does not read, and a missing one.
+    so every coefficient of the model is an array.  An unknown kind, and
+    a coefficient the preset's kind does not read, are refused by name
+    before any is evaluated; ModelSpec refuses a missing one.
     """
     if grid.dim != preset.dim:
         raise ValueError(
             f"preset {preset.name!r} is {preset.dim}D but the grid is {grid.dim}D"
         )
+    if preset.kind not in COEFFICIENTS:
+        raise ValueError(f"unknown model kind {preset.kind!r}")
+    for name in preset.coefficients:
+        if name not in COEFFICIENTS[preset.kind]:
+            raise ValueError(f"a {preset.kind} model has no coefficient {name!r}")
     evaluated = {
         name: random_cosine_sum(seed, grid) if expr is None else evaluate_expression(expr, grid)
         for name, expr in preset.coefficients.items()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from mfgflow import (
     solve_linear,
     stress_test,
 )
+from mfgflow import diagnostics, flow
 from mfgflow.diagnostics import StudyError
+from mfgflow.flow import VARIANTS
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +70,24 @@ class TestFunctionalTrace:
         result = run_flow(model, uniform, FlowConfig())
         with pytest.raises(ValueError):
             functional_trace(result, "other")
+
+
+def uncapped_study(model, m0, eps0, pairs, variant, max_outer):
+    """sup_tv, as refinement_study defines it, of levels that each run
+    max_outer fixed steps; with each level's step count."""
+    grid = m0.grid
+    trajectories = [
+        run_flow(model, m0, FlowConfig(variant=variant, max_outer=max_outer,
+                                       fixed_eps=eps0 / 2**k, keep_trajectory=True)).densities
+        for k in range(pairs + 1)
+    ]
+    window = min((len(traj) - 1) << (pairs - k) for k, traj in enumerate(trajectories))
+    sup_tv = [
+        max(integrate(np.abs(coarse[j // 2] - fine[j]), grid)
+            for j in range((window >> (pairs - k - 1)) + 1))
+        for k, (coarse, fine) in enumerate(zip(trajectories, trajectories[1:]))
+    ]
+    return sup_tv, [len(traj) - 1 for traj in trajectories]
 
 
 class TestRefinementStudy:
@@ -119,6 +141,71 @@ class TestRefinementStudy:
         fail_payoff_solve(3)
         with pytest.raises(StudyError, match="level 0 .* solver_failed"):
             refinement_study(model, uniform, eps0=0.1, pairs=1)
+
+    @pytest.mark.parametrize("pairs, max_outer", [(6, 25), (3, 100), (2, 7)])
+    def test_each_level_runs_only_the_steps_the_window_reaches(
+        self, monkeypatch, model, uniform, pairs, max_outer
+    ):
+        caps = []
+
+        def counting_run_flow(model, m0, cfg):
+            caps.append(cfg.max_outer)
+            return run_flow(model, m0, cfg)
+
+        monkeypatch.setattr(diagnostics, "run_flow", counting_run_flow)
+        refinement_study(model, uniform, eps0=0.1, pairs=pairs, max_outer=max_outer)
+        assert caps == [math.ceil(max_outer / 2 ** (pairs - k)) for k in range(pairs + 1)]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("name, n, pairs, max_outer, converged", [
+        # every level converges early, at 7 / 11 / 20 / 39 steps, so the
+        # window comes from converged lengths
+        ("linear-4x", 200, 3, 100, True),
+        # every level runs all 25 steps
+        ("nonlinear-cos", 1000, 6, 25, False),
+    ])
+    def test_sup_tv_equals_the_uncapped_levels(self, name, n, pairs, max_outer, converged,
+                                               variant):
+        grid = make_grid(1, n)
+        model = build_model(PRESETS[name], grid)
+        m0 = normalize(np.ones(grid.shape), grid)
+        sup_tv, steps = uncapped_study(model, m0, 0.1, pairs, variant, max_outer)
+        assert all(s < max_outer for s in steps) is converged
+        study = refinement_study(model, m0, eps0=0.1, pairs=pairs, variant=variant,
+                                 max_outer=max_outer)
+        assert study.sup_tv == sup_tv
+
+    def test_payoff_failure_past_a_levels_cap_does_not_stop_the_study(
+        self, monkeypatch, model, uniform, fail_payoff_solve
+    ):
+        # with pairs 2 and max_outer 8, level 0 (eps 0.1) runs 2 steps;
+        # its 3rd step's payoff solve is the run's 4th
+        pairs, max_outer = 2, 8
+        sup_tv, _ = uncapped_study(model, uniform, 0.1, pairs, "best_response", max_outer)
+        solve = flow.solve_payoff
+        fail_payoff_solve(4)
+        uncapped = FlowConfig(max_outer=max_outer, fixed_eps=0.1)
+        assert run_flow(model, uniform, uncapped).termination == "solver_failed"
+        fail_payoff_solve(4)
+        failing = flow.solve_payoff
+
+        def level_run_flow(model, m0, cfg):
+            # only level 0 solves through the failing payoff
+            monkeypatch.setattr(flow, "solve_payoff", failing if cfg.fixed_eps == 0.1 else solve)
+            return run_flow(model, m0, cfg)
+
+        monkeypatch.setattr(diagnostics, "run_flow", level_run_flow)
+        study = refinement_study(model, uniform, eps0=0.1, pairs=pairs, max_outer=max_outer)
+        assert study.sup_tv == sup_tv
+
+    @pytest.mark.parametrize("call, level", [(3, 0), (8, 1)])
+    def test_payoff_failure_at_a_levels_last_step_fails_the_study(
+        self, model, uniform, fail_payoff_solve, call, level
+    ):
+        # caps 2 / 4 / 8: level 0 makes solves 1-3, level 1 solves 4-8
+        fail_payoff_solve(call)
+        with pytest.raises(StudyError, match=f"level {level} .* solver_failed"):
+            refinement_study(model, uniform, eps0=0.1, pairs=2, max_outer=8)
 
 
 class TestStressTest:

@@ -327,6 +327,37 @@ class TestLinearSolve:
         with pytest.raises(SolverError, match="exceeds tolerance"):
             solve_linear(model, uniform(grid))
 
+    @pytest.mark.parametrize("scale, accepted", [(1.5, True), (3.0, False)])
+    def test_residual_between_the_two_bounds_accepted(self, monkeypatch, scale, accepted):
+        # with mu tiny, ||A|| ~ P and theta ~ b / P, so ||b|| nearly
+        # doubles the bound: a residual of 1.5 u ||A|| ||theta|| lies past
+        # the test without ||b|| and within the full one, 3 past both
+        grid = make_grid(1, 10)
+        model = ModelSpec.linear(mu=1e-6, P=1.0, f=2.0 + grid.axes[0])
+        m = uniform(grid)
+        exact = solve_linear(model, m).values
+        ops = elliptic._operators(model, grid)
+        unit = elliptic._BACKWARD_ERROR_UNIT
+        dgttrs = elliptic.dgttrs
+
+        def perturbed_dgttrs(*args):
+            theta, info = dgttrs(*args)
+            theta[4] += scale * unit * ops.norm * np.abs(exact).max()
+            return theta, info
+
+        monkeypatch.setattr(elliptic, "dgttrs", perturbed_dgttrs)
+        rhs = model.f - m.values
+        theta, _ = perturbed_dgttrs(*ops.lu, rhs)
+        resid = np.abs(elliptic._product(ops.system, theta) - rhs).max()
+        scaled = ops.norm * np.abs(theta).max()
+        assert unit * scaled < resid
+        assert bool(resid <= unit * (scaled + np.abs(rhs).max())) is accepted
+        if accepted:
+            assert np.array_equal(solve_linear(model, m).values, theta)
+        else:
+            with pytest.raises(SolverError, match="exceeds tolerance"):
+                solve_linear(model, m)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize(
         "dim,n,varying_P", [(1, 200, False), (2, 20, False), (2, 20, True)],

@@ -95,6 +95,20 @@ class TestPresets:
         with pytest.raises(ValueError, match=f"a nonlinear model has no coefficient '{name}'"):
             build_model(preset, grid)
 
+    @pytest.mark.parametrize("kind, coefficients, name", [
+        ("linear", {"P": "1", "f": "1", "g": "1"}, "g"),
+        ("nonlinear", {"K": "1", "mu": "0.2"}, "mu"),
+    ])
+    def test_preset_coefficient_no_kind_reads_refused(self, grid, kind, coefficients, name):
+        # a name ModelSpec takes no argument for gets the same ValueError
+        preset = Preset("unread", kind, 1, coefficients)
+        with pytest.raises(ValueError, match=f"a {kind} model has no coefficient '{name}'"):
+            build_model(preset, grid)
+
+    def test_preset_of_unknown_kind_refused(self, grid):
+        with pytest.raises(ValueError, match="unknown model kind 'quadratic'"):
+            build_model(Preset("odd", "quadratic", 1, {"g": "1"}), grid)
+
     def test_preset_missing_a_coefficient_refused(self, grid):
         with pytest.raises(ValueError, match="linear model needs P and f"):
             build_model(Preset("no-P", "linear", 1, {"f": "4*x"}), grid)

@@ -14,6 +14,10 @@ installed copy, never perfbench) and prints one SHA-256 line per part:
 - stress-1d: the 54 stress_test rows on linear-sin, seeds 0-26, n = 1000;
 - refine-1d: the sup_tv lists of refinement_study on nonlinear-cos for
   both variants (eps0 0.1, pairs 6, max_outer 25, n = 1000);
+- refine-1d-flows: the 14 fixed-step run_flow trajectories behind that
+  study, run in full by run_flow itself (nonlinear-cos, n = 1000, eps
+  0.1 / 2^k for k = 0-6, max_outer 25, both variants), so the hash does
+  not depend on how many steps the study takes at each level;
 - randcos2d: the solve_payoff outcome on nonlinear-randcos2d, seeds 0-7,
   from the uniform density, 50 x 50 intervals;
 - randcos2d-flows: the 32 run_flow results of the linear and nonlinear
@@ -23,9 +27,10 @@ installed copy, never perfbench) and prints one SHA-256 line per part:
 
 A run_flow result hashes every field of every IterationRecord, the
 termination and convergence flag, and the bytes of the final m and
-theta.  A solve_payoff outcome hashes the bytes of theta (zero after a
+theta; a kept trajectory adds the bytes of every density in it.  A
+solve_payoff outcome hashes the bytes of theta (zero after a
 TrivialBranchWarning) or the SolverError and its residual, then the
-class of every warning raised.  Two checkouts that print the same six
+class of every warning raised.  Two checkouts that print the same seven
 lines produce the same trajectories to the bit on these inputs.
 """
 
@@ -56,6 +61,16 @@ def _floats(*values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _hash_result(digest, tag, result):
+    digest.update(f"{tag}:{result.termination}:{result.converged}".encode())
+    for record in result.records:
+        digest.update(_floats(*astuple(record)))
+    digest.update(result.m.values.tobytes())
+    digest.update(result.theta.values.tobytes())
+    for density in result.densities or []:
+        digest.update(density.tobytes())
+
+
 def _flow_runs(names, grid, digest, seeds=None):
     """Hash run_flow from the uniform density for each preset and variant;
     with seeds, once per random cosine draw, the seed tagged in the hash."""
@@ -67,14 +82,7 @@ def _flow_runs(names, grid, digest, seeds=None):
             for variant in VARIANTS:
                 cfg = mfgflow.FlowConfig(variant=variant, eps0=preset.default_eps0)
                 model = mfgflow.build_model(preset, grid, seed=seed or 0)
-                result = mfgflow.run_flow(model, m0, cfg)
-                digest.update(
-                    f"{tag}/{variant}:{result.termination}:{result.converged}".encode()
-                )
-                for record in result.records:
-                    digest.update(_floats(*astuple(record)))
-                digest.update(result.m.values.tobytes())
-                digest.update(result.theta.values.tobytes())
+                _hash_result(digest, f"{tag}/{variant}", mfgflow.run_flow(model, m0, cfg))
 
 
 def presets_1d(digest):
@@ -103,6 +111,17 @@ def refine_1d(digest):
             model, m0, eps0=0.1, pairs=6, variant=variant, max_outer=25
         )
         digest.update(_floats(*study.sup_tv))
+
+
+def refine_1d_flows(digest):
+    grid = mfgflow.make_grid(1, 1000)
+    m0 = mfgflow.normalize(np.ones(grid.shape), grid)
+    for variant in VARIANTS:
+        model = mfgflow.build_model(mfgflow.PRESETS["nonlinear-cos"], grid)
+        for k in range(7):
+            cfg = mfgflow.FlowConfig(variant=variant, max_outer=25, fixed_eps=0.1 / 2**k,
+                                     keep_trajectory=True)
+            _hash_result(digest, f"{variant}/{k}", mfgflow.run_flow(model, m0, cfg))
 
 
 def randcos2d(digest):
@@ -135,6 +154,7 @@ PARTS = {
     "presets-2d": presets_2d,
     "stress-1d": stress_1d,
     "refine-1d": refine_1d,
+    "refine-1d-flows": refine_1d_flows,
     "randcos2d": randcos2d,
     "randcos2d-flows": randcos2d_flows,
 }
