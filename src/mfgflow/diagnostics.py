@@ -37,7 +37,9 @@ class RefinementStudy:
     Each level k runs the flow with fixed step epsilons[k] = eps0 / 2^k
     for at most the steps the compared window reaches (see
     refinement_study); runtimes[k] is the wall time of that capped run,
-    in seconds.  sup_tv[k] is the supremum over the
+    in seconds.  Every level starts from one density on one model, so
+    level 0 pays the start's payoff solve and later levels reuse it
+    (see solve_payoff).  sup_tv[k] is the supremum over the
     common time window of the TV distance between the level-k and
     level-(k+1) trajectories, both read as piecewise-constant functions
     of transported mass, taken exactly: the max over every step of

@@ -33,8 +33,12 @@ What a model needs on one grid (one operator: the linear system, or
 -Lap for the harvesting model, as three bands on a 1D grid, where no
 sparse matrix is built; in 2D, its cosine-transform eigenvalues; the
 factorized linear system; the coefficients on the grid) is built once
-per model and grid and cached on the model.  scipy.fft is imported on
-the first 2D solve, so that 1D runs never load it.
+per model and grid and cached on the model.  So is the payoff of the
+last density solve_payoff solved cold (no theta0), keyed on the bytes
+of its node values: a flow starts with such a solve, and the levels of
+a refinement study, or the two variants of a stress test seed, start
+from one density on one model, which is then solved once.  scipy.fft is
+imported on the first 2D solve, so that 1D runs never load it.
 """
 
 from __future__ import annotations
@@ -238,6 +242,9 @@ class _Operators:
     # on a 2D grid, the eigenvalues in the cosine basis of system (linear
     # model with constant P) or of lap (harvesting model); None otherwise
     eig: np.ndarray | None
+    # the last cold solve_payoff: the bytes of its density's node values
+    # and a private copy of its theta; None before the first
+    start: tuple[bytes, np.ndarray] | None = None
 
 
 def _factorize(matrix: sp.csc_matrix):
@@ -560,8 +567,24 @@ def solve_payoff(
     """Dispatch to the solver matching the model kind.
 
     theta0 warm-starts the nonlinear solve; the linear solve is direct
-    and ignores it.
+    and ignores it.  A cold call (theta0 None) on the node values of the
+    model's last cold call on the grid, equal to the bit, returns a copy
+    of that call's theta without solving again, so flows that share a
+    start density solve it once.  A zero theta, such as the trivial
+    branch whose TrivialBranchWarning must repeat, is not kept, and a
+    SolverError leaves nothing to keep.
     """
+    cold = theta0 is None
+    if cold:
+        grid = grid_of(m)
+        ops = _operators(model, grid)
+        key = m.values.tobytes()
+        if ops.start is not None and ops.start[0] == key:
+            return ScalarField(ops.start[1].copy(), grid)
     if model.kind == "linear":
-        return solve_linear(model, m)
-    return solve_nonlinear(model, m, theta0=theta0)
+        theta = solve_linear(model, m)
+    else:
+        theta = solve_nonlinear(model, m, theta0=theta0)
+    if cold and theta.values.any():
+        ops.start = (key, theta.values.copy())
+    return theta

@@ -76,6 +76,30 @@ def test_solve_dump_eikonal(tmp_path):
     assert sum(float(r[1]) == 0.0 for r in rows) == on_target.sum()
 
 
+def test_only_node_files_carry_comment_lines(tmp_path):
+    # density.csv and eikonal.csv, one row per node, follow their header
+    # with the grid (and the preset); the other four files have none
+    grid = ["--preset", "linear-4x", "--grid", "150", "--out", str(tmp_path)]
+    assert main(["solve", "--variant", "eikonal", "--dump-eikonal", *grid]) == EXIT_OK
+    assert main(["refine", "--levels", "2", *grid]) == EXIT_OK
+    assert main(["stress", "--seeds", "1", *grid]) == EXIT_OK
+    assert main(["trace", *grid]) == EXIT_OK
+    dims = f"# dim=1 n=150 dx={1 / 150:.17g}"
+    expected = {
+        "density.csv": [dims, "# preset=linear-4x"],
+        "eikonal.csv": [dims],
+        "iterations.csv": [],
+        "refinement.csv": [],
+        "stress.csv": [],
+        "trace.csv": [],
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for name, comments in expected.items():
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        assert lines[1:1 + len(comments)] == comments, name
+        assert not any(ln.startswith("#") for ln in lines[1 + len(comments):]), name
+
+
 def test_solve_nonconvergence_exit_code(tmp_path, capsys):
     code = main(
         ["solve", "--preset", "linear-cos", "--grid", "200", "--fixed-eps", "1.0",

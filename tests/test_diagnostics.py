@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,12 +15,13 @@ from mfgflow import (
     nash_certificate,
     nash_gap,
     normalize,
+    random_density,
     refinement_study,
     run_flow,
     solve_linear,
     stress_test,
 )
-from mfgflow import diagnostics, flow
+from mfgflow import diagnostics, elliptic, flow
 from mfgflow.diagnostics import StudyError
 from mfgflow.flow import VARIANTS
 
@@ -224,6 +226,83 @@ class TestStressTest:
         assert len(rows) == 8
         assert all(r.converged for r in rows)
         assert all(r.final_residual <= grid.spacing for r in rows)
+
+
+class TestSharedStart:
+    """Flows on one model from one start density solve that start once."""
+
+    @pytest.fixture
+    def cold_solves(self, monkeypatch):
+        """The densities of the harvesting solves that get no warm start."""
+        calls = []
+        solve = elliptic.solve_nonlinear
+
+        def counting(model, m, opts=None, theta0=None):
+            if theta0 is None:
+                calls.append(m)
+            return solve(model, m, opts, theta0)
+
+        monkeypatch.setattr(elliptic, "solve_nonlinear", counting)
+        return calls
+
+    @staticmethod
+    def nonlinear_cos():
+        grid = make_grid(1, 1000)
+        return grid, build_model(PRESETS["nonlinear-cos"], grid)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_refinement_study_solves_its_start_once(self, cold_solves, variant):
+        grid, model = self.nonlinear_cos()
+        m0 = normalize(np.ones(grid.shape), grid)
+        refinement_study(model, m0, eps0=0.1, pairs=6, variant=variant, max_outer=25)
+        assert len(cold_solves) == 1 and cold_solves[0] is m0
+
+    def test_stress_test_solves_each_start_once(self, cold_solves):
+        grid, model = self.nonlinear_cos()
+        stress_test(model, grid, FlowConfig(max_outer=5), seeds=[0, 1, 2])
+        assert [m.values.tobytes() for m in cold_solves] == [
+            random_density(seed, grid).values.tobytes() for seed in (0, 1, 2)
+        ]
+
+    @staticmethod
+    def on_fresh_models(monkeypatch, fresh, results):
+        """Run diagnostics' flows on a fresh copy of the model when fresh
+        is true, and record their results."""
+
+        def recording(model, m0, cfg):
+            result = run_flow(dataclasses.replace(model) if fresh else model, m0, cfg)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(diagnostics, "run_flow", recording)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_refinement_levels_match_levels_on_fresh_models(self, monkeypatch, variant):
+        grid, model = self.nonlinear_cos()
+        m0 = normalize(np.ones(grid.shape), grid)
+        studies, runs = [], ([], [])
+        for fresh in (False, True):
+            self.on_fresh_models(monkeypatch, fresh, runs[fresh])
+            studies.append(refinement_study(model, m0, eps0=0.1, pairs=6, variant=variant,
+                                            max_outer=25))
+        shared, separate = studies
+        assert shared.sup_tv == separate.sup_tv
+        assert shared.epsilons == separate.epsilons
+        assert len(runs[0]) == len(runs[1]) == 7
+        for a, b in zip(*runs):
+            assert a.records == b.records and a.termination == b.termination
+            assert len(a.densities) == len(b.densities)
+            assert all(np.array_equal(x, y) for x, y in zip(a.densities, b.densities))
+            assert np.array_equal(a.theta.values, b.theta.values)
+
+    def test_stress_rows_match_rows_on_fresh_models(self, monkeypatch):
+        grid, model = self.nonlinear_cos()
+        cfg = FlowConfig(max_outer=5)
+        rows = []
+        for fresh in (False, True):
+            self.on_fresh_models(monkeypatch, fresh, [])
+            rows.append(stress_test(model, grid, cfg, seeds=[0, 1]))
+        assert rows[0] == rows[1]
 
 
 class TestNashCertificate:

@@ -756,6 +756,114 @@ class TestOperatorCache:
         assert sorted(model._cache) == [(1, 100), (1, 200), (2, 20)]
 
 
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Count the calls of elliptic.solve_linear and elliptic.solve_nonlinear."""
+    calls = []
+    for name in ("solve_linear", "solve_nonlinear"):
+        def counting(*args, solve=getattr(elliptic, name), **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(elliptic, name, counting)
+    return calls
+
+
+def kind_model(kind, grid):
+    x = grid.coords()[0]
+    if kind == "linear":
+        return ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * x)
+    return ModelSpec.nonlinear(mu=0.1, K=4.0 * x)
+
+
+@pytest.mark.parametrize("kind", ["linear", "nonlinear"])
+@pytest.mark.parametrize("dim,n", [(1, 200), (2, 20)], ids=["1d", "2d"])
+class TestStartMemo:
+    """solve_payoff answers a cold call on its model's last cold density."""
+
+    def test_equal_density_is_solved_once(self, solver_calls, kind, dim, n):
+        grid = make_grid(dim, n)
+        model = kind_model(kind, grid)
+        first = solve_payoff(model, uniform(grid))
+        # an equal density in a new array
+        again = solve_payoff(model, uniform(grid))
+        assert len(solver_calls) == 1
+        assert again.values is not first.values and again.grid is grid
+        assert np.array_equal(again.values, first.values)
+        fresh = solve_payoff(kind_model(kind, grid), uniform(grid))
+        assert np.array_equal(again.values, fresh.values)
+
+    def test_changed_density_misses(self, solver_calls, kind, dim, n):
+        grid = make_grid(dim, n)
+        model = kind_model(kind, grid)
+        x = grid.coords()[0]
+        m = normalize(1.0 + x, grid)
+        solve_payoff(model, m)
+        other = solve_payoff(model, uniform(grid))
+        assert len(solver_calls) == 2
+        fresh = solve_payoff(kind_model(kind, grid), uniform(grid))
+        assert np.array_equal(other.values, fresh.values)
+        # m is the last cold density again; an in-place edit of its values misses
+        solve_payoff(model, m)
+        m.values[...] = normalize(2.0 - x, grid).values
+        edited = solve_payoff(model, m)
+        assert len(solver_calls) == 5
+        fresh = solve_payoff(kind_model(kind, grid), normalize(2.0 - x, grid))
+        assert np.array_equal(edited.values, fresh.values)
+
+    def test_mutating_a_returned_theta_leaves_later_hits(self, solver_calls, kind, dim, n):
+        grid = make_grid(dim, n)
+        model = kind_model(kind, grid)
+        solved = solve_payoff(model, uniform(grid))
+        expected = solved.values.copy()
+        solved.values[...] = -1.0
+        hit = solve_payoff(model, uniform(grid))
+        assert np.array_equal(hit.values, expected)
+        hit.values[...] = -2.0
+        assert np.array_equal(solve_payoff(model, uniform(grid)).values, expected)
+        assert len(solver_calls) == 1
+
+    def test_warm_call_neither_reads_nor_writes(self, solver_calls, kind, dim, n):
+        grid = make_grid(dim, n)
+        model = kind_model(kind, grid)
+        m = uniform(grid)
+        theta = solve_payoff(model, m)
+        solve_payoff(model, m, theta0=theta)
+        assert len(solver_calls) == 2
+        # a warm solve of another density is no cold start of it
+        other = normalize(1.0 + grid.coords()[0], grid)
+        solve_payoff(model, other, theta0=theta)
+        solve_payoff(model, other)
+        assert len(solver_calls) == 4
+
+    def test_solver_error_is_raised_every_time(self, monkeypatch, kind, dim, n):
+        grid = make_grid(dim, n)
+        model = kind_model(kind, grid)
+        calls = []
+
+        def failing(model, m, **kwargs):
+            calls.append(None)
+            raise SolverError("payoff solve failed on purpose")
+
+        monkeypatch.setattr(elliptic, f"solve_{kind}", failing)
+        for _ in range(2):
+            with pytest.raises(SolverError, match="on purpose"):
+                solve_payoff(model, uniform(grid))
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("dim,n", [(1, 200), (2, 20)], ids=["1d", "2d"])
+def test_trivial_branch_warns_every_time(solver_calls, dim, n):
+    # a trivial branch is never kept, so its warning repeats
+    grid = make_grid(dim, n)
+    model = ModelSpec.nonlinear(mu=0.1, K=1e-7)
+    for _ in range(2):
+        with pytest.warns(TrivialBranchWarning):
+            theta = solve_payoff(model, uniform(grid))
+        assert not theta.values.any()
+    assert solver_calls == ["solve_nonlinear"] * 2
+
+
 def closed_form_norm(model, grid):
     """||mu (-Lap) + diag(P)||_inf: the rows of |-Lap| sum to 4 dim / dx^2."""
     P = model.coefficient("P", grid)
