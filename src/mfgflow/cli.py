@@ -23,7 +23,7 @@ import argparse
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,7 +78,7 @@ def _parse_config_file(path) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, value = line.split("=", 1)
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -201,26 +201,25 @@ def _resolve(args: argparse.Namespace) -> SimpleNamespace:
         if key in texts and "fixed_eps" in texts:
             source, fixed = texts[key][1], texts["fixed_eps"][1]
             raise ConfigError(f"{source} is not read beside {fixed}")
-    return SimpleNamespace(**{
+    return SimpleNamespace(command=args.command, **{
         opt.key: opt.parse(*texts[opt.key]) if opt.key in texts else opt.default
         for opt in OPTIONS
     })
 
 
 def _materialize(rc: SimpleNamespace):
-    """Build (grid, model, flow config, metadata) from resolved run inputs.
+    """Build (grid, model, flow config, label) from resolved run inputs.
 
     A config file's model keys form a Preset named after its kind, so
-    both routes build their model with build_model; a model key its
-    route does not read is refused, and ModelSpec refuses a missing
-    coefficient.  Every ValueError raised while building them is
-    reported as a ConfigError.
+    both routes build their model with build_model, which refuses a
+    preset on a grid of another dimension; a model key its route does
+    not read is refused, and ModelSpec refuses a missing coefficient.
+    The stress test refuses a model that is not 1D.  Every ValueError
+    raised while building them is reported as a ConfigError.
     """
     try:
         if rc.preset is not None:
             preset, read = PRESETS[rc.preset], ()
-            if rc.dim is not None and rc.dim != preset.dim:
-                raise ConfigError(f"preset {rc.preset!r} is {preset.dim}D")
         elif rc.kind is None:
             raise ConfigError(f"need --preset, or kind = {'|'.join(COEFFICIENTS)} in the config")
         else:
@@ -233,7 +232,7 @@ def _materialize(rc: SimpleNamespace):
             if key not in read and getattr(rc, key) is not None:
                 route = "beside a preset" if rc.preset else f"by a {rc.kind} model"
                 raise ConfigError(f"config key {key!r} is not read {route}")
-        grid = make_grid(preset.dim, rc.n)
+        grid = make_grid(rc.dim or preset.dim, rc.n)
         model = build_model(preset, grid, seed=rc.seed, mu=rc.mu)
         flow_cfg = FlowConfig(
             variant=rc.variant.replace("-", "_"),
@@ -245,6 +244,8 @@ def _materialize(rc: SimpleNamespace):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if rc.command == "stress" and grid.dim != 1:
+        raise ConfigError("the stress test is defined for 1D models only")
     return grid, model, flow_cfg, preset.name
 
 
@@ -263,51 +264,37 @@ def _write_nodes(path, grid, fields, comments):
                zip(*(c.ravel() for c in columns)), comments)
 
 
-def _summary(result) -> str:
-    return (
+def _report(result) -> int:
+    """Print a flow's summary line and return its exit code."""
+    print(
         f"converged={str(result.converged).lower()} "
         f"iterations={result.iterations} "
         f"final_residual={_fmt(result.final_residual)} "
         f"termination={result.termination}"
     )
-
-
-def _exit_code(result) -> int:
     if result.termination == "solver_failed":
         return EXIT_SOLVER
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def cmd_solve(rc: SimpleNamespace) -> int:
+def cmd_solve(rc, grid, model, flow_cfg, label) -> int:
     """run one flow to convergence and dump density/iteration CSVs"""
-    grid, model, flow_cfg, label = _materialize(rc)
-    os.makedirs(rc.out, exist_ok=True)
     result = run_flow(model, _uniform_density(grid), flow_cfg)
     _write_nodes(os.path.join(rc.out, "density.csv"), grid,
                  {"m": result.m.values, "theta": result.theta.values},
                  [_grid_comment(grid), f"preset={label}"])
-    _write_csv(
-        os.path.join(rc.out, "iterations.csv"),
-        ["iter", "epsilon", "residual", "sup_theta", "min_theta_supp",
-         "tv_step", "mass_cum", "halvings"],
-        [
-            (r.j, r.eps, r.residual, r.sup_theta, r.min_theta_supp,
-             r.tv_step, r.mass_cum, r.halvings)
-            for r in result.records
-        ],
-    )
+    _write_csv(os.path.join(rc.out, "iterations.csv"),
+               ["iter", "epsilon", "residual", "sup_theta", "min_theta_supp",
+                "tv_step", "mass_cum", "halvings"], map(astuple, result.records))
     if rc.dump_eikonal:
         v = _distance_field(grid, result.theta, result.final_residual)
         _write_nodes(os.path.join(rc.out, "eikonal.csv"), grid, {"v": v.values},
                      [_grid_comment(grid)])
-    print(_summary(result))
-    return _exit_code(result)
+    return _report(result)
 
 
-def cmd_refine(rc: SimpleNamespace) -> int:
+def cmd_refine(rc, grid, model, flow_cfg, label) -> int:
     """step-size refinement study (refinement.csv)"""
-    grid, model, flow_cfg, label = _materialize(rc)
-    os.makedirs(rc.out, exist_ok=True)
     study = diagnostics.refinement_study(
         model,
         _uniform_density(grid),
@@ -317,48 +304,30 @@ def cmd_refine(rc: SimpleNamespace) -> int:
         tau=flow_cfg.tau,
         max_outer=flow_cfg.max_outer,
     )
-    _write_csv(
-        os.path.join(rc.out, "refinement.csv"),
-        ["level", "epsilon", "sup_tv"],
-        [
-            (k, study.epsilons[k], study.sup_tv[k])
-            for k in range(len(study.sup_tv))
-        ],
-    )
-    print(f"levels={len(study.sup_tv)} max_sup_tv={_fmt(max(study.sup_tv))}")
+    levels = range(len(study.sup_tv))
+    _write_csv(os.path.join(rc.out, "refinement.csv"), ["level", "epsilon", "sup_tv"],
+               zip(levels, study.epsilons, study.sup_tv))
+    print(f"levels={len(levels)} max_sup_tv={_fmt(max(study.sup_tv))}")
     return EXIT_OK
 
 
-def cmd_stress(rc: SimpleNamespace) -> int:
+def cmd_stress(rc, grid, model, flow_cfg, label) -> int:
     """random-initialization stress test (stress.csv)"""
-    grid, model, flow_cfg, label = _materialize(rc)
-    if grid.dim != 1:
-        raise ConfigError("the stress test is defined for 1D models only")
-    os.makedirs(rc.out, exist_ok=True)
-    seeds = [rc.seed + i for i in range(rc.seeds)]
-    rows = diagnostics.stress_test(model, grid, flow_cfg, seeds)
-    _write_csv(
-        os.path.join(rc.out, "stress.csv"),
-        ["seed", "variant", "iterations", "converged", "final_residual"],
-        [
-            (r.seed, r.variant, r.iterations, r.converged, r.final_residual)
-            for r in rows
-        ],
-    )
-    bad = [r for r in rows if not r.converged]
-    print(f"runs={len(rows)} converged={len(rows) - len(bad)}")
-    return EXIT_OK if not bad else EXIT_NOT_CONVERGED
+    rows = diagnostics.stress_test(model, grid, flow_cfg, range(rc.seed, rc.seed + rc.seeds))
+    _write_csv(os.path.join(rc.out, "stress.csv"),
+               ["seed", "variant", "iterations", "converged", "final_residual"],
+               map(astuple, rows))
+    converged = sum(r.converged for r in rows)
+    print(f"runs={len(rows)} converged={converged}")
+    return EXIT_OK if converged == len(rows) else EXIT_NOT_CONVERGED
 
 
-def cmd_trace(rc: SimpleNamespace) -> int:
+def cmd_trace(rc, grid, model, flow_cfg, label) -> int:
     """objective-vs-transported-mass trace (trace.csv)"""
-    grid, model, flow_cfg, label = _materialize(rc)
-    os.makedirs(rc.out, exist_ok=True)
     result = run_flow(model, _uniform_density(grid), flow_cfg)
     t, phi = diagnostics.functional_trace(result, flow_cfg.variant)
     _write_csv(os.path.join(rc.out, "trace.csv"), ["t", "phi"], zip(t, phi))
-    print(_summary(result))
-    return _exit_code(result)
+    return _report(result)
 
 
 def cmd_validate() -> int:
@@ -389,7 +358,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":  # fixed checks: reads no configuration
             return cmd_validate()
-        return _COMMANDS[args.command](_resolve(args))
+        # every run input is checked, and the run built, before --out exists
+        rc = _resolve(args)
+        run = _materialize(rc)
+        os.makedirs(rc.out, exist_ok=True)
+        return _COMMANDS[args.command](rc, *run)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -228,19 +228,18 @@ _BACKWARD_ERROR_UNIT = BACKWARD_ERROR_FACTOR * np.finfo(float).eps / 2.0
 class _Operators:
     """What a model needs on one grid, built once and cached on the model."""
 
-    # one operator, as (sub, main, super) bands in 1D and sparse in 2D:
-    # -Lap with reflected Neumann rows for the harvesting model, and
-    # mu (-Lap) + diag(P) for the linear model; the other is None
-    lap: tuple | sp.csr_matrix | None
-    system: tuple | sp.csc_matrix | None
+    # the model's operator, as (sub, main, super) bands in 1D and sparse
+    # in 2D: mu (-Lap) + diag(P) for the linear model, and -Lap with
+    # reflected Neumann rows for the harvesting model
+    op: tuple | sp.csr_matrix | sp.csc_matrix
     # the model's coefficients on the grid, by name as COEFFICIENTS lists them
     coefs: dict[str, np.ndarray]
-    # factorization of system: dgttrf's outputs in 1D, SuperLU in 2D
-    # when P varies over the grid; None otherwise
+    # factorization of op (linear model): dgttrf's outputs in 1D, SuperLU
+    # in 2D when P varies over the grid; None otherwise
     lu: object
-    norm: float | None  # max row sum of |system|
-    # on a 2D grid, the eigenvalues in the cosine basis of system (linear
-    # model with constant P) or of lap (harvesting model); None otherwise
+    norm: float | None  # max row sum of |op| (linear model); None otherwise
+    # on a 2D grid, the eigenvalues of op in the cosine basis, unless P
+    # varies over the grid; None otherwise
     eig: np.ndarray | None
     # the last cold solve_payoff: the bytes of its density's node values
     # and a private copy of its theta; None before the first
@@ -288,31 +287,28 @@ def _operators(model: ModelSpec, grid: Grid) -> _Operators:
     ops = model._cache.get(key)
     if ops is None:
         coefs = {name: model.coefficient(name, grid) for name in COEFFICIENTS[model.kind]}
-        lap = _laplacian_bands(grid) if grid.dim == 1 else neumann_laplacian(grid)
-        lu = eig = None
+        op = _laplacian_bands(grid) if grid.dim == 1 else neumann_laplacian(grid)
+        lu = norm = eig = None
         if model.kind == "linear":
             P = coefs["P"]
             if grid.dim == 1:
                 # to the bit the bands of the assembled (mu lap + diag(P)).tocsc()
-                lower, diag, upper = (model.mu * band for band in lap)
-                system = (lower, diag + P, upper)
-                *lu, info = dgttrf(*system)
+                lower, diag, upper = (model.mu * band for band in op)
+                op = (lower, diag + P, upper)
+                *lu, info = dgttrf(*op)
                 _check_pivots(info)
             else:
-                system = (model.mu * lap + sp.diags(P.ravel())).tocsc()
+                op = (model.mu * op + sp.diags(P.ravel())).tocsc()
                 if P.min() == P.max():
                     eig = model.mu * _laplacian_eigenvalues(grid) + P.flat[0]
                 else:
-                    lu = _factorize(system)
+                    lu = _factorize(op)
             # every row of |-Lap| sums to 4 dim / dx^2, reflected rows too,
-            # and P >= 0: within one ulp of the summed max row of |system|
+            # and P >= 0: within one ulp of the summed max row of |op|
             norm = model.mu * (4.0 * grid.dim / grid.spacing**2) + float(P.max())
-            ops = _Operators(None, system, coefs, lu, norm, eig)
-        else:
-            if grid.dim == 2:
-                eig = _laplacian_eigenvalues(grid)
-            ops = _Operators(lap, None, coefs, None, None, eig)
-        model._cache[key] = ops
+        elif grid.dim == 2:
+            eig = _laplacian_eigenvalues(grid)
+        ops = model._cache[key] = _Operators(op, coefs, lu, norm, eig)
     return ops
 
 
@@ -348,7 +344,7 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
         theta = _dct_solve(ops.eig, rhs.reshape(grid.shape)).ravel()
     # |A theta - b| in the product's own storage; ufunc reductions
     # straight, without the ndarray.max wrapper
-    product = _product(ops.system, theta)
+    product = _product(ops.op, theta)
     resid = np.maximum.reduce(np.abs(np.subtract(product, rhs, out=product), out=product))
     theta_norm = np.maximum.reduce(np.abs(theta))
     if not math.isfinite(theta_norm):
@@ -406,7 +402,7 @@ def solve_nonlinear(
         opts = NonlinearSolveOptions()
     grid = grid_of(m) if theta0 is None else grid_of(m, theta0)
     ops = _operators(model, grid)
-    lap, w = ops.lap, grid.quad_weights
+    lap, w = ops.op, grid.quad_weights
     K = ops.coefs["K"]
     m_vals = m.values
     mu = model.mu
@@ -543,9 +539,9 @@ def pde_residual(model: ModelSpec, m: ScalarField, theta: ScalarField) -> float:
     m_vals, th = m.values, theta.values
     ops = _operators(model, grid)
     if model.kind == "linear":
-        res = _product(ops.system, th) - (ops.coefs["f"] - m_vals)
+        res = _product(ops.op, th) - (ops.coefs["f"] - m_vals)
     else:
-        res = model.mu * _product(ops.lap, th) - th * (ops.coefs["K"] - th) + m_vals * th
+        res = model.mu * _product(ops.op, th) - th * (ops.coefs["K"] - th) + m_vals * th
     return float(np.abs(res).max())
 
 

@@ -73,16 +73,24 @@ def _walk(node, names: dict, expr: str):
 
 def evaluate_expression(expr: str, grid: Grid) -> np.ndarray:
     """Evaluate a coefficient expression on every grid node.  The walk makes
-    no reference cycle, so its arrays are freed when this returns or raises."""
+    no reference cycle, so its arrays are freed when this returns or raises.
+    An expression nested too deeply for the parser (MemoryError) or for
+    the walk (RecursionError) is refused like any other."""
     names = dict(zip("xy", grid.coords()), pi=np.pi)
+    too_deep = f"expression of {len(expr)} characters nests too deeply"
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {expr!r}: {exc}") from exc
+    except (MemoryError, RecursionError) as exc:
+        raise ExpressionError(too_deep) from exc
     # a pole or overflow yields inf/nan, which ModelSpec rejects by name;
     # numpy's floating-point warnings would only duplicate that message
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = _walk(tree.body, names, expr)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            values = _walk(tree.body, names, expr)
+    except RecursionError as exc:
+        raise ExpressionError(too_deep) from exc
     return np.broadcast_to(np.asarray(values, dtype=float), grid.shape).copy()
 
 

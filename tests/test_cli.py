@@ -259,6 +259,8 @@ def test_nonpositive_capacity_exit_3(tmp_path, capsys):
     (["solve"], "kind = linear\nP = 0.5\nf = 4*x\n", {}),
     (["solve"], "kind = linear\ndim = 1\nf = 4*x\n", {}),
     (["stress", "--preset", "linear-gauss2d", "--grid", "10"], None, {}),
+    pytest.param(["solve"], "kind = linear\ndim = 1\nP = 0.5\nf = 1 + " + "-" * 2000 + "x\n",
+                 {}, id="expression-2000-deep"),
 ])
 def test_invalid_run_input_exit_3(tmp_path, capsys, monkeypatch, args, config, env):
     for key, value in env.items():
@@ -270,6 +272,28 @@ def test_invalid_run_input_exit_3(tmp_path, capsys, monkeypatch, args, config, e
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert "Traceback" not in err
+
+
+def test_config_file_not_utf8_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"mu = \xff\xfe\n")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config file {cfg}:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, args", [
+    ("solve", ["--preset", "linear-4x", "--grid", "1"]),
+    ("refine", ["--preset", "linear-4x", "--levels", "0"]),
+    ("stress", ["--preset", "linear-gauss2d", "--grid", "10"]),
+    ("trace", ["--preset", "linear-gauss2d", "--dim", "1"]),
+])
+def test_refused_run_input_creates_no_output_directory(tmp_path, capsys, command, args):
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("config, key", [

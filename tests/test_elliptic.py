@@ -348,7 +348,7 @@ class TestLinearSolve:
         monkeypatch.setattr(elliptic, "dgttrs", perturbed_dgttrs)
         rhs = model.f - m.values
         theta, _ = perturbed_dgttrs(*ops.lu, rhs)
-        resid = np.abs(elliptic._product(ops.system, theta) - rhs).max()
+        resid = np.abs(elliptic._product(ops.op, theta) - rhs).max()
         scaled = ops.norm * np.abs(theta).max()
         assert unit * scaled < resid
         assert bool(resid <= unit * (scaled + np.abs(rhs).max())) is accepted
@@ -693,7 +693,7 @@ class TestOperatorCache:
             0.1 * neumann_laplacian(grid) + sp.diags(model.coefficient("P", grid))
         ).tocsc()
         want = (system.diagonal(-1), system.diagonal(), system.diagonal(1))
-        assert all(np.array_equal(a, b) for a, b in zip(ops.system, want, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(ops.op, want, strict=True))
         assert ops.norm == closed_form_norm(model, grid)
 
     @pytest.mark.parametrize("mu", [0.03, 0.1, 1.0])
@@ -736,12 +736,19 @@ class TestOperatorCache:
         )
         assert 0.0 < pde_residual(model, m, theta) <= bound
 
-    def test_linear_entries_hold_no_laplacian(self):
+    def test_op_is_the_system_or_minus_laplacian(self):
+        # op is mu (-Lap) + diag(P) for a linear model, -Lap for a harvesting one
         for grid in (make_grid(1, 50), make_grid(2, 10)):
-            linear = elliptic._operators(linear_4x(grid), grid)
-            harvesting = elliptic._operators(ModelSpec.nonlinear(mu=0.1, K=4.0), grid)
-            assert linear.lap is None and linear.system is not None
-            assert harvesting.system is None and harvesting.lap is not None
+            model = linear_4x(grid)
+            lap = neumann_laplacian(grid)
+            system = (model.mu * lap + sp.diags(model.coefficient("P", grid).ravel())).tocsc()
+            x = np.random.default_rng(grid.dim).uniform(size=grid.shape)
+            for ops, want in (
+                (elliptic._operators(model, grid), system),
+                (elliptic._operators(ModelSpec.nonlinear(mu=0.1, K=4.0), grid), lap),
+            ):
+                assert np.array_equal(elliptic._product(ops.op, x),
+                                      (want @ x.ravel()).reshape(grid.shape))
 
     def test_reused_model_matches_fresh_model(self):
         K = 4.0  # a scalar coefficient lets one model serve every grid
@@ -1146,7 +1153,7 @@ def test_energy_increment_matches_exact_difference(dim, n):
     lap, w, mu = neumann_laplacian(grid), grid.quad_weights, 0.1
     K = 1.0 + 3.0 * rng.uniform(size=grid.shape)
     # the operator the solve uses: -Lap's bands in 1D, sparse in 2D
-    ops_lap = elliptic._operators(ModelSpec.nonlinear(mu=mu, K=K), grid).lap
+    ops_lap = elliptic._operators(ModelSpec.nonlinear(mu=mu, K=K), grid).op
     m = uniform(grid).values * rng.uniform(0.5, 1.5, grid.shape)
     theta = rng.uniform(0.0, 2.0, grid.shape)
     # a small step that projects about a third of the nodes onto 0, and

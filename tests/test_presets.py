@@ -67,6 +67,13 @@ class TestExpressionGrammar:
         with pytest.raises(ExpressionError, match=re.escape(REJECTED[expr])):
             evaluate_expression(expr, grid)
 
+    # 2 000 signs overflow the walk's recursion, 20 000 the parser's stack
+    @pytest.mark.parametrize("depth", [2000, 20000])
+    def test_deeply_nested_expression_rejected(self, grid, depth):
+        expr = "1 + " + "-" * depth + "x"
+        with pytest.raises(ExpressionError, match="nests too deeply"):
+            evaluate_expression(expr, grid)
+
 
 class TestPresets:
     def test_all_presets_build(self):
