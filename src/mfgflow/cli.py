@@ -4,8 +4,8 @@ Subcommands: solve, refine, stress, trace, validate.  Each run input is
 declared once, in OPTIONS: its converter, default, flag, allowed values,
 environment variable and the subcommands that read it.  A run
 subcommand refuses an input it would ignore: a key, from any source,
-that its entry does not list the subcommand for, and eps0 or eps_min
-beside fixed_eps; `validate` reads no configuration.  Run inputs come
+that its entry does not list the subcommand for, and eps0 beside
+fixed_eps; `validate` reads no configuration.  Run inputs come
 from (lowest to highest precedence) the defaults, a flat
 ``key = value`` config file, the MFGFLOW_OUT / MFGFLOW_SEED environment
 variables, and flags; a value from any source is converted and checked
@@ -14,12 +14,16 @@ Floating values in every CSV are printed with 17 significant digits so
 identical configurations produce bit-identical files.
 
 Exit codes: 0 converged/ok, 2 non-convergence or a refinement shortfall,
-3 configuration error, 4 solver failure.
+3 configuration error (also a refine level count that halves eps0 to
+zero, and a grid or model too large to allocate), 4 solver failure; a
+stress run exits 4 when any flow's payoff solve failed, else 0 when all
+converged, else 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -138,7 +142,6 @@ OPTIONS = (
            choices=tuple(v.replace("_", "-") for v in VARIANTS),
            commands=("solve", "refine", "trace")),
     Option("eps0", float, flag="--eps0", help="initial step mass"),
-    Option("eps_min", float, flag="--eps-min", commands=("solve", "stress", "trace")),
     Option("max_outer", int, 100, flag="--max-outer"),
     Option("tau", lambda text: None if text == "dx" else float(text), flag="--tau",
            help="residual tolerance, a float or 'dx' (the grid spacing)"),
@@ -196,11 +199,9 @@ def _resolve(args: argparse.Namespace) -> SimpleNamespace:
             texts[opt.key] = (getattr(args, opt.key), opt.flag)
         if opt.key in texts and args.command not in opt.commands:
             raise ConfigError(f"{texts[opt.key][1]} is not read by {args.command}")
-    # a fixed-step run reads neither eps0 nor eps_min
-    for key in ("eps0", "eps_min"):
-        if key in texts and "fixed_eps" in texts:
-            source, fixed = texts[key][1], texts["fixed_eps"][1]
-            raise ConfigError(f"{source} is not read beside {fixed}")
+    # a fixed-step run reads no eps0
+    if "eps0" in texts and "fixed_eps" in texts:
+        raise ConfigError(f"{texts['eps0'][1]} is not read beside {texts['fixed_eps'][1]}")
     return SimpleNamespace(command=args.command, **{
         opt.key: opt.parse(*texts[opt.key]) if opt.key in texts else opt.default
         for opt in OPTIONS
@@ -214,8 +215,10 @@ def _materialize(rc: SimpleNamespace):
     both routes build their model with build_model, which refuses a
     preset on a grid of another dimension; a model key its route does
     not read is refused, and ModelSpec refuses a missing coefficient.
-    The stress test refuses a model that is not 1D.  Every ValueError
-    raised while building them is reported as a ConfigError.
+    The stress test refuses a model that is not 1D, and the refinement
+    study a level count that halves eps0 to zero.  Every ValueError
+    raised while building them is reported as a ConfigError, and so is
+    a MemoryError, naming the grid size.
     """
     try:
         if rc.preset is not None:
@@ -232,7 +235,8 @@ def _materialize(rc: SimpleNamespace):
             if key not in read and getattr(rc, key) is not None:
                 route = "beside a preset" if rc.preset else f"by a {rc.kind} model"
                 raise ConfigError(f"config key {key!r} is not read {route}")
-        grid = make_grid(rc.dim or preset.dim, rc.n)
+        dim = rc.dim or preset.dim
+        grid = make_grid(dim, rc.n)
         model = build_model(preset, grid, seed=rc.seed, mu=rc.mu)
         flow_cfg = FlowConfig(
             variant=rc.variant.replace("-", "_"),
@@ -240,12 +244,16 @@ def _materialize(rc: SimpleNamespace):
             max_outer=rc.max_outer,
             tau=rc.tau,
             fixed_eps=rc.fixed_eps,
-            **({} if rc.eps_min is None else {"eps_min": rc.eps_min}),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:  # raised by the allocations of the grid or the model
+        size = f"{dim}D run of {rc.n or 'the default'} intervals per axis"
+        raise ConfigError(f"cannot allocate a {size}: {exc}") from exc
     if rc.command == "stress" and grid.dim != 1:
         raise ConfigError("the stress test is defined for 1D models only")
+    if rc.command == "refine" and not math.ldexp(flow_cfg.eps0, -rc.levels) > 0.0:
+        raise ConfigError(f"{rc.levels} levels halve eps0 = {flow_cfg.eps0!r} to zero")
     return grid, model, flow_cfg, preset.name
 
 
@@ -264,6 +272,13 @@ def _write_nodes(path, grid, fields, comments):
                zip(*(c.ravel() for c in columns)), comments)
 
 
+def _exit_code(terminations) -> int:
+    """4 if a flow's payoff solve failed, else 0 if every flow converged, else 2."""
+    if "solver_failed" in terminations:
+        return EXIT_SOLVER
+    return EXIT_OK if all(t == "converged" for t in terminations) else EXIT_NOT_CONVERGED
+
+
 def _report(result) -> int:
     """Print a flow's summary line and return its exit code."""
     print(
@@ -272,9 +287,7 @@ def _report(result) -> int:
         f"final_residual={_fmt(result.final_residual)} "
         f"termination={result.termination}"
     )
-    if result.termination == "solver_failed":
-        return EXIT_SOLVER
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return _exit_code([result.termination])
 
 
 def cmd_solve(rc, grid, model, flow_cfg, label) -> int:
@@ -314,12 +327,11 @@ def cmd_refine(rc, grid, model, flow_cfg, label) -> int:
 def cmd_stress(rc, grid, model, flow_cfg, label) -> int:
     """random-initialization stress test (stress.csv)"""
     rows = diagnostics.stress_test(model, grid, flow_cfg, range(rc.seed, rc.seed + rc.seeds))
-    _write_csv(os.path.join(rc.out, "stress.csv"),
-               ["seed", "variant", "iterations", "converged", "final_residual"],
-               map(astuple, rows))
-    converged = sum(r.converged for r in rows)
-    print(f"runs={len(rows)} converged={converged}")
-    return EXIT_OK if converged == len(rows) else EXIT_NOT_CONVERGED
+    columns = ("seed", "variant", "iterations", "converged", "final_residual")
+    _write_csv(os.path.join(rc.out, "stress.csv"), columns,
+               ([getattr(r, c) for c in columns] for r in rows))
+    print(f"runs={len(rows)} converged={sum(r.converged for r in rows)}")
+    return _exit_code([r.termination for r in rows])
 
 
 def cmd_trace(rc, grid, model, flow_cfg, label) -> int:

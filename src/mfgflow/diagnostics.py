@@ -7,6 +7,7 @@ variable of the underlying TV flow.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -56,8 +57,13 @@ class StressRow:
     seed: int
     variant: str
     iterations: int
-    converged: bool
+    termination: str  # the flow's, see run_flow
     final_residual: float
+
+    @property
+    def converged(self) -> bool:
+        """Whether the residual met tau."""
+        return self.termination == "converged"
 
 
 def functional_trace(result: FlowResult, variant: str):
@@ -93,7 +99,8 @@ def refinement_study(
     trajectories over the time window covered by every level.  Level k
     holds its j-th density on [j, j+1) eps_k, so step j of level k+1
     meets step j // 2 of level k, and the sup is the max over those
-    steps.
+    steps.  Raises ValueError when the finest step is not positive, as
+    when 2^pairs halves eps0 below the smallest float.
 
     Level k runs at most ceil(max_outer / 2^(pairs - k)) steps: a
     fixed-step trajectory depends on max_outer only where it stops, so a
@@ -106,8 +113,11 @@ def refinement_study(
     """
     if pairs < 1:
         raise ValueError("need at least one consecutive pair")
+    if not math.ldexp(eps0, -pairs) > 0.0:
+        raise ValueError(f"the finest step eps0 / 2^{pairs} of eps0 = {eps0!r} is not positive")
     grid = density_grid(m0)
-    epsilons = [eps0 / 2**k for k in range(pairs + 1)]
+    # eps0 / 2^k, also where 2^k (k >= 1024) has no float
+    epsilons = [math.ldexp(eps0, -k) for k in range(pairs + 1)]
     trajectories = []
     runtimes = []
     for k, eps in enumerate(epsilons):
@@ -151,7 +161,7 @@ def stress_test(model: ModelSpec, grid, cfg: FlowConfig, seeds) -> list[StressRo
                     seed=int(seed),
                     variant=variant,
                     iterations=result.iterations,
-                    converged=result.converged,
+                    termination=result.termination,
                     final_residual=result.final_residual,
                 )
             )

@@ -73,7 +73,7 @@ class TrivialBranchWarning(UserWarning):
 
 @dataclass(frozen=True)
 class NonlinearSolveOptions:
-    """Tolerances for the nonlinear energy minimization.
+    """Tolerances for the nonlinear energy minimization, read by every solve_nonlinear.
 
     grad_tol is interpreted against the energy gradient scaled by the
     per-node grid weight, i.e. the solve stops once the strong-form
@@ -368,7 +368,6 @@ def solve_linear(model: ModelSpec, m: ScalarField) -> ScalarField:
 def solve_nonlinear(
     model: ModelSpec,
     m: ScalarField,
-    opts: NonlinearSolveOptions | None = None,
     theta0: ScalarField | None = None,
 ) -> ScalarField:
     """Minimize the payoff energy under theta >= 0.
@@ -393,13 +392,12 @@ def solve_nonlinear(
 
     Returns the zero field (with a TrivialBranchWarning) when the solve
     collapses onto the trivial branch, i.e. when no positive solution is
-    found.  Raises SolverError if max_iters is exhausted, the line search
-    stalls or a 1D Jacobian is singular.
+    found.  Raises SolverError if NonlinearSolveOptions().max_iters is
+    exhausted, the line search stalls or a 1D Jacobian is singular.
     """
     if model.kind != "nonlinear":
         raise ValueError("solve_nonlinear needs a nonlinear model")
-    if opts is None:
-        opts = NonlinearSolveOptions()
+    opts = NonlinearSolveOptions()
     grid = grid_of(m) if theta0 is None else grid_of(m, theta0)
     ops = _operators(model, grid)
     lap, w = ops.op, grid.quad_weights

@@ -56,6 +56,10 @@ TARGET_GAP_FRACTION = 0.7
 # The flow variants: a step moves the lowest-income mass, or the farthest from the target.
 VARIANTS = ("best_response", "eikonal")
 
+# The floor of the adaptive step mass, below which a run ends "eps_exhausted":
+# 1e-15 is about five ulp of the unit total mass, where a move drowns in rounding.
+EPS_MIN = 1e-15
+
 
 class RedistributionShortfallError(RuntimeError):
     """The plateau cannot absorb eps; the step size must shrink."""
@@ -74,7 +78,6 @@ class FlowConfig:
 
     variant: str = "best_response"
     eps0: float = 0.1
-    eps_min: float = 1e-15
     max_outer: int = 100
     tau: float | None = None
     fixed_eps: float | None = None
@@ -83,8 +86,8 @@ class FlowConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown flow variant {self.variant!r}")
-        if not 0.0 < self.eps_min <= self.eps0 <= 1.0:
-            raise ValueError("need 0 < eps_min <= eps0 <= 1")
+        if not EPS_MIN <= self.eps0 <= 1.0:
+            raise ValueError(f"need {EPS_MIN} <= eps0 <= 1")
         if self.tau is not None and not 0.0 < self.tau < np.inf:
             raise ValueError("tau must be positive and finite")
         if self.max_outer < 1:
@@ -328,7 +331,7 @@ def redistribute(
     height = np.maximum(plateau.base - m_plus.values, 0.0)
     mass = (grid.quad_weights * height).ravel()
     # a prefix of the sums is the sum of the prefix; the first 256 nodes held eps in
-    # 8426/8426 stress-1d, 350/350 refine-1d, 866/1008 presets-1d, 10/317 presets-2d trials
+    # 8426/8426 stress-1d, 106/106 refine-1d, 866/1008 presets-1d, 10/317 presets-2d trials
     for stop in (256, None):
         cum = np.add.accumulate(mass[plateau.order.nodes[:stop]])
         if cum[-1] >= eps:
@@ -393,7 +396,7 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
 
     The termination reason is one of "converged" (the residual met
     tau), "max_outer" (the outer cap was hit), "eps_exhausted" (eps
-    fell below eps_min without lowering the residual), "shortfall" (the
+    fell below EPS_MIN without lowering the residual), "shortfall" (the
     plateau cannot absorb a fixed step) or "solver_failed" (a payoff
     solve after the first failed); the result's converged reads it.
     Non-convergence is a reported outcome, not an exception; only a
@@ -447,7 +450,7 @@ def run_flow(model: ModelSpec, m0: Density, cfg: FlowConfig) -> FlowResult:
         else:
             eps /= 2.0
             halvings += 1
-            if eps < cfg.eps_min:
+            if eps < EPS_MIN:
                 termination = "eps_exhausted"
 
     if termination is None:  # set in the loop only while resid > tau

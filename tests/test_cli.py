@@ -261,6 +261,9 @@ def test_nonpositive_capacity_exit_3(tmp_path, capsys):
     (["stress", "--preset", "linear-gauss2d", "--grid", "10"], None, {}),
     pytest.param(["solve"], "kind = linear\ndim = 1\nP = 0.5\nf = 1 + " + "-" * 2000 + "x\n",
                  {}, id="expression-2000-deep"),
+    # 0.1 / 2^1100 lies below the smallest float
+    pytest.param(["refine", "--preset", "linear-4x", "--grid", "50", "--levels", "1100"], None,
+                 {}, id="levels-1100"),
 ])
 def test_invalid_run_input_exit_3(tmp_path, capsys, monkeypatch, args, config, env):
     for key, value in env.items():
@@ -288,6 +291,7 @@ def test_config_file_not_utf8_exit_3(tmp_path, capsys):
     ("refine", ["--preset", "linear-4x", "--levels", "0"]),
     ("stress", ["--preset", "linear-gauss2d", "--grid", "10"]),
     ("trace", ["--preset", "linear-gauss2d", "--dim", "1"]),
+    ("refine", ["--preset", "linear-4x", "--grid", "50", "--levels", "1100"]),
 ])
 def test_refused_run_input_creates_no_output_directory(tmp_path, capsys, command, args):
     out = tmp_path / "out"
@@ -317,7 +321,7 @@ def test_model_key_the_route_does_not_read_exit_3(tmp_path, capsys, config, key)
 @pytest.mark.parametrize("command, config, key", [
     # refine sets its own fixed steps eps0 / 2^k
     ("refine", "fixed_eps = 0.9\n", "fixed_eps"),
-    ("refine", "eps_min = 0.05\n", "eps_min"),
+    ("refine", "seeds = 3\n", "seeds"),
     ("solve", "seeds = 3\n", "seeds"),
     ("solve", "levels = 4\n", "levels"),
     # stress runs both variants
@@ -344,16 +348,16 @@ def test_preset_takes_mu_dim_and_n_from_the_config(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "stress", "trace"])
 @pytest.mark.parametrize("args, config, message", [
     (["--fixed-eps", "0.05", "--eps0", "0.01"], None, "--eps0 is not read beside --fixed-eps"),
-    (["--fixed-eps", "0.05", "--eps-min", "1e-12"], None,
-     "--eps-min is not read beside --fixed-eps"),
+    (["--eps0", "0.01"], "fixed_eps = 0.05\n",
+     "--eps0 is not read beside config key 'fixed_eps'"),
     (["--fixed-eps", "0.05"], "eps0 = 0.01\n",
      "config key 'eps0' is not read beside --fixed-eps"),
-    ([], "fixed_eps = 0.05\neps_min = 1e-12\n",
-     "config key 'eps_min' is not read beside config key 'fixed_eps'"),
+    ([], "fixed_eps = 0.05\neps0 = 0.01\n",
+     "config key 'eps0' is not read beside config key 'fixed_eps'"),
 ])
 def test_step_bound_beside_fixed_eps_exit_3(tmp_path, capsys, command, args, config,
                                             message):
-    # a fixed-step run reads neither eps0 nor eps_min
+    # a fixed-step run reads no eps0, whichever sources give the two
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         args = args + ["--config", str(tmp_path / "run.cfg")]
@@ -394,6 +398,8 @@ def test_validate_takes_no_run_flags(capsys):
     ("stress", ["--variant", "eikonal"]),
     ("stress", ["--dump-eikonal"]),
     ("trace", ["--dump-eikonal"]),
+    # the step floor is a constant, flow.EPS_MIN
+    ("solve", ["--eps-min", "1e-12"]),
 ])
 def test_run_command_refuses_flag_it_ignores(tmp_path, capsys, command, flag):
     args = [command, "--preset", "linear-4x", *flag, "--out", str(tmp_path)]
@@ -480,6 +486,35 @@ def test_refine_solver_failure_exit_4(tmp_path, capsys, fail_payoff_solve):
     )
     assert code == EXIT_SOLVER
     assert "stopped: solver_failed" in capsys.readouterr().err
+
+
+def test_stress_flow_solver_failure_exit_4(tmp_path, capsys, fail_payoff_solve):
+    # the third payoff solve is the second trial of seed 0's best-response flow
+    fail_payoff_solve(3)
+    code = main(["stress", "--preset", "nonlinear-4x", "--grid", "200", "--seeds", "1",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    assert capsys.readouterr().out == "runs=2 converged=1\n"
+    header, rows = read_csv(tmp_path / "stress.csv")
+    assert header == ["seed", "variant", "iterations", "converged", "final_residual"]
+    assert [row[:4] for row in rows] == [["0", "best_response", "1", "0"],
+                                         ["0", "eikonal", rows[1][2], "1"]]
+
+
+@pytest.mark.parametrize("builder, n", [("make_grid", "1099511627776"), ("build_model", "200")])
+def test_run_too_large_to_allocate_exit_3(tmp_path, capsys, monkeypatch, builder, n):
+    # raised as numpy raises it, without allocating anything
+    def unable(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(f"mfgflow.cli.{builder}", unable)
+    out = tmp_path / "out"
+    assert main(["solve", "--preset", "linear-4x", "--grid", n, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot allocate a 1D run of {n} intervals per axis: "
+        "Unable to allocate 8.00 TiB\n"
+    )
+    assert not out.exists()
 
 
 def test_seventeen_digit_floats(tmp_path):

@@ -139,6 +139,17 @@ class TestRefinementStudy:
         with pytest.raises(ValueError):
             refinement_study(model, uniform, pairs=0)
 
+    def test_steps_past_two_to_the_1024(self, model, uniform):
+        # 2**1030 has no float; the steps are still eps0 / 2^k, subnormal at the end
+        study = refinement_study(model, uniform, eps0=0.1, pairs=1030, max_outer=1)
+        assert study.epsilons == [0.1 * 2.0**-k for k in range(1031)]
+        assert len(study.sup_tv) == 1030 and study.epsilons[-1] > 0.0
+
+    def test_finest_step_below_the_smallest_float_refused(self, model, uniform):
+        # 0.1 / 2^1100 rounds to zero, and 2^1100 itself has no float
+        with pytest.raises(ValueError, match="eps0 / 2\\^1100 of eps0 = 0.1 is not positive"):
+            refinement_study(model, uniform, eps0=0.1, pairs=1100)
+
     def test_solver_failure_fails_the_study(self, model, uniform, fail_payoff_solve):
         fail_payoff_solve(3)
         with pytest.raises(StudyError, match="level 0 .* solver_failed"):
@@ -221,6 +232,15 @@ class TestStressTest:
             rows_c, key=lambda r: (r.seed, r.variant)
         )
 
+    def test_payoff_failure_mid_flow_is_the_rows_termination(self, fail_payoff_solve):
+        grid = make_grid(1, 200)
+        model = build_model(PRESETS["nonlinear-4x"], grid)
+        # the third payoff solve is the second trial of the best-response flow
+        fail_payoff_solve(3)
+        rows = stress_test(model, grid, FlowConfig(), seeds=[0])
+        assert [r.termination for r in rows] == ["solver_failed", "converged"]
+        assert [r.converged for r in rows] == [False, True]
+
     def test_all_converge_on_gentle_model(self, grid, model):
         rows = stress_test(model, grid, FlowConfig(), seeds=range(4))
         assert len(rows) == 8
@@ -237,10 +257,10 @@ class TestSharedStart:
         calls = []
         solve = elliptic.solve_nonlinear
 
-        def counting(model, m, opts=None, theta0=None):
+        def counting(model, m, theta0=None):
             if theta0 is None:
                 calls.append(m)
-            return solve(model, m, opts, theta0)
+            return solve(model, m, theta0)
 
         monkeypatch.setattr(elliptic, "solve_nonlinear", counting)
         return calls

@@ -345,7 +345,7 @@ class TestRunFlow:
 
     def test_stalled_eikonal_run_ends_eps_exhausted(self, grid):
         # a random start on linear-sin (a stress-1d row): the eikonal flow
-        # stalls at 3.3 tau, where no step down to eps_min lowers the gap
+        # stalls at 3.3 tau, where no step down to EPS_MIN lowers the gap
         assert_stall(grid, random_density(9, grid), 29, 409, 3.292989667965651e-3, best=18)
 
     def test_stalled_eikonal_run_on_a_ten_times_finer_grid(self):
