@@ -16,7 +16,7 @@ import numpy as np
 from .eikonal import solve_eikonal
 from .elliptic import ModelSpec, pde_residual, solve_linear, solve_nonlinear
 from .flow import VARIANTS, FlowConfig, FlowResult, nash_gap, run_flow, select_lowest_income
-from .grid import integrate, make_grid
+from .grid import integrate, make_grid, require_int
 from .measures import (
     Density, ScalarField, density_grid, grid_of, normalize, random_density
 )
@@ -99,8 +99,9 @@ def refinement_study(
     trajectories over the time window covered by every level.  Level k
     holds its j-th density on [j, j+1) eps_k, so step j of level k+1
     meets step j // 2 of level k, and the sup is the max over those
-    steps.  Raises ValueError when the finest step is not positive, as
-    when 2^pairs halves eps0 below the smallest float.
+    steps.  Raises ValueError when pairs is not an integer of at least
+    one, and when the finest step is not positive, as when 2^pairs
+    halves eps0 below the smallest float.
 
     Level k runs at most ceil(max_outer / 2^(pairs - k)) steps: a
     fixed-step trajectory depends on max_outer only where it stops, so a
@@ -111,7 +112,7 @@ def refinement_study(
     cap; a step past the cap is never compared, so it is never taken
     and cannot stop the study.
     """
-    if pairs < 1:
+    if require_int(pairs, "pairs") < 1:
         raise ValueError("need at least one consecutive pair")
     if not math.ldexp(eps0, -pairs) > 0.0:
         raise ValueError(f"the finest step eps0 / 2^{pairs} of eps0 = {eps0!r} is not positive")

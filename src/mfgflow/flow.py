@@ -27,8 +27,10 @@ the ordered keys (and tiebreaks) bounds its run, and the nodes before
 the run lead the order.  The plateau's cumulative heights, summed per
 trial, both decide a shortfall and place the crossing.  The sums add the
 same nodes in node order as without the cut, so the results are the same
-to the bit.  Called alone, the selection and redistribution functions
-build the part of the cut they need on the spot.
+to the bit.  The cut is a pair (selection, plateau): the selections take
+its selection part and redistribute its plateau part, and called without
+one each builds its part on the spot.  All three refuse an eps that is
+not positive, NaN included.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .eikonal import extract_target, solve_eikonal
 from .elliptic import ModelSpec, SolverError, plateau_density, solve_payoff
-from .grid import integrate
+from .grid import integrate, require_int
 from .measures import (
     NORMALIZATION_TOL, Density, ScalarField, density_grid, grid_of, support, tv_distance,
 )
@@ -86,12 +88,15 @@ class FlowConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown flow variant {self.variant!r}")
+        for name in ("eps0", "tau", "fixed_eps"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
+        if require_int(self.max_outer, "max_outer") < 1:
+            raise ValueError("max_outer must be at least 1")
         if not EPS_MIN <= self.eps0 <= 1.0:
             raise ValueError(f"need {EPS_MIN} <= eps0 <= 1")
         if self.tau is not None and not 0.0 < self.tau < np.inf:
             raise ValueError("tau must be positive and finite")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
         if self.fixed_eps is not None and not 0.0 < self.fixed_eps <= 1.0:
             raise ValueError("need 0 < fixed_eps <= 1")
 
@@ -168,9 +173,11 @@ def _slice(mass, order, eps, cum):
     and a search of the ordered keys (and tiebreaks) bounds its run; the
     nodes before it are taken whole and its nodes scaled by one factor,
     both sums adding in node order.  Returns (flat weights in [0,1],
-    crossing level).  eps may exceed the mass by NORMALIZATION_TOL, the
-    slack of a Density's unit mass.
+    crossing level).  eps must be positive (NaN is not); it may exceed
+    the mass by NORMALIZATION_TOL, the slack of a Density's unit mass.
     """
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
     total = cum[-1]
     if eps > total + NORMALIZATION_TOL:
         raise ValueError(f"requested mass {eps!r} exceeds available {total!r}")
@@ -241,29 +248,25 @@ def _plateau(theta, model, asc) -> _Plateau:
     return _Plateau((theta, model), _Order(nodes, -top, None, True), theta_bar, base)
 
 
-@dataclass(slots=True)
-class _Cut:
-    """What every trial move from one iterate shares."""
-
-    selection: _Selection
-    plateau: _Plateau
-
-
-def _cut(m, theta, v, model) -> _Cut:
-    """The cut of an iterate: selection by income, or by distance v."""
+def _cut(m, theta, v, model) -> tuple[_Selection, _Plateau]:
+    """The cut of an iterate, (selection, plateau): selection by income, or by distance v."""
     asc = _ascending(theta)
-    return _Cut(_selection(m, theta, v, asc), _plateau(theta, model, asc))
+    return _selection(m, theta, v, asc), _plateau(theta, model, asc)
 
 
-def _reused(part, *sources):
-    """A part of a cut, checked to come from these very objects."""
+def _reused(part, kind, *sources):
+    """A part of a cut, checked to be of this kind and from these very objects."""
+    if not isinstance(part, kind):
+        raise TypeError(f"cut must be a {kind.__name__}, not a {type(part).__name__}")
     if not all(map(operator.is_, part.sources, sources)):
         raise ValueError("the cut was built from another iterate")
     return part
 
 
-def _split(selection, eps):
-    m = selection.sources[0]
+def _select(m, income, v, eps, cut):
+    """The eps slice of m in the order of income, or of distance v, and the rest."""
+    selection = (_selection(m, income, v, _ascending(income)) if cut is None
+                 else _reused(cut, _Selection, m, income, v))
     weights, eta = _slice(selection.mass, selection.order, eps, selection.cum)
     m_minus = m.values * weights.reshape(m.values.shape)
     return ScalarField(m_minus, m.grid), ScalarField(m.values - m_minus, m.grid), eta
@@ -276,15 +279,12 @@ def select_lowest_income(m: ScalarField, theta: ScalarField, eps: float, cut=Non
     fractional share of the eta level set, with integral exactly eps;
     m_plus = m - m_minus; both are fields on m's grid.  Ties at the
     crossing level are removed proportionally, so a constant theta
-    yields m_minus = eps * m.  cut is the flow's cut of (m, theta),
-    reused across halving trials; the result is the same without it.
+    yields m_minus = eps * m.  cut is the selection part of the flow's
+    cut of (m, theta), reused across halving trials; the result is the
+    same without it.  Raises ValueError unless eps > 0.
     """
     grid_of(m, theta)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if cut is None:
-        return _split(_selection(m, theta, None, _ascending(theta)), eps)
-    return _split(_reused(cut.selection, m, theta, None), eps)
+    return _select(m, theta, None, eps, cut)
 
 
 def select_farthest(m: ScalarField, v: ScalarField, eps: float, income, cut=None):
@@ -295,14 +295,11 @@ def select_farthest(m: ScalarField, v: ScalarField, eps: float, income, cut=None
     are taken poorest-first by the income field.  Mass on the target
     ties at distance zero, so when no mass sits off it the slice is the
     lowest-income one.  Returns (m_minus, m_plus, eta) as
-    select_lowest_income does, and takes the flow's cut the same way.
+    select_lowest_income does, and takes the selection part of the
+    flow's cut and refuses eps the same way.
     """
     grid_of(m, v, income)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if cut is None:
-        return _split(_selection(m, income, v, _ascending(income)), eps)
-    return _split(_reused(cut.selection, m, income, v), eps)
+    return _select(m, income, v, eps, cut)
 
 
 def redistribute(
@@ -314,20 +311,16 @@ def redistribute(
     plateau density at the top payoff theta_bar (elliptic.plateau_density)
     less m_plus, clamped at zero; the level C is lowered (with fractional
     weighting of the crossing level) until the added mass reaches eps
-    exactly.  cut is the flow's cut of theta, reused across halving
-    trials; the result is the same without it.
+    exactly.  cut is the plateau part of the flow's cut of theta, reused
+    across halving trials; the result is the same without it.
 
     Returns (nu, C, theta_bar), nu a field on theta's grid.  Raises
-    RedistributionShortfallError when the plateau heights over the whole
-    domain cannot absorb eps.
+    ValueError unless eps > 0, and RedistributionShortfallError when the
+    plateau heights over the whole domain cannot absorb eps.
     """
     grid = grid_of(m_plus, theta)
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if cut is None:
-        plateau = _plateau(theta, model, _ascending(theta))
-    else:
-        plateau = _reused(cut.plateau, theta, model)
+    plateau = (_plateau(theta, model, _ascending(theta)) if cut is None
+               else _reused(cut, _Plateau, theta, model))
     height = np.maximum(plateau.base - m_plus.values, 0.0)
     mass = (grid.quad_weights * height).ravel()
     # a prefix of the sums is the sum of the prefix; the first 256 nodes held eps in
@@ -361,12 +354,13 @@ def _trial(m, theta, v, model, eps, allow_overlap, cut):
     moved density failed).  m_new is a ScalarField, a density up to
     roundoff.
     """
+    selection, plateau = cut
     if v is None:
-        m_minus, m_plus, _ = select_lowest_income(m, theta, eps, cut=cut)
+        m_minus, m_plus, _ = select_lowest_income(m, theta, eps, cut=selection)
     else:
-        m_minus, m_plus, _ = select_farthest(m, v, eps, income=theta, cut=cut)
+        m_minus, m_plus, _ = select_farthest(m, v, eps, income=theta, cut=selection)
     try:
-        nu = redistribute(m_plus, theta, model, eps, cut=cut)[0].values
+        nu = redistribute(m_plus, theta, model, eps, cut=plateau)[0].values
     except RedistributionShortfallError:
         return "shortfall"
     # nu >= 0, so the regions overlap where nu is positive under m_minus

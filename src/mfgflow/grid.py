@@ -13,7 +13,8 @@ arrays meet a grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,13 +42,15 @@ class Grid:
         2D, so they sum to 1.  They are the only node weights in the
         package: mass, distances and the payoff energy all use them,
         and -Lap with reflected Neumann rows is symmetric in them.
+
+    (dim, n) fix every other field, so grids compare and hash by them.
     """
 
     dim: int
     n: int
-    spacing: float
-    axes: tuple[np.ndarray, ...]
-    quad_weights: np.ndarray
+    spacing: float = field(compare=False)
+    axes: tuple[np.ndarray, ...] = field(compare=False)
+    quad_weights: np.ndarray = field(compare=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,6 +65,13 @@ class Grid:
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
 
+def require_int(value, name: str) -> int:
+    """value as an int: numpy integers pass, a bool or a float raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_grid(dim: int, n_per_axis: int | None = None) -> Grid:
     """Build a uniform grid on [0,1]^dim with n_per_axis intervals.
 
@@ -71,10 +81,14 @@ def make_grid(dim: int, n_per_axis: int | None = None) -> Grid:
     n_per_axis : int, optional
         Intervals per axis (at least 2).  Defaults to 1000 in 1D and
         100 per axis in 2D.
+
+    Both are integers (numpy integers included); a bool or a float is
+    refused with ValueError.
     """
+    dim = require_int(dim, "dim")
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim!r}")
-    n = DEFAULT_N[dim] if n_per_axis is None else int(n_per_axis)
+    n = DEFAULT_N[dim] if n_per_axis is None else require_int(n_per_axis, "n_per_axis")
     if n < 2:
         raise ValueError(f"n_per_axis must be >= 2, got {n}")
     dx = 1.0 / n

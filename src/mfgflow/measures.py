@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, integrate
+from .grid import Grid, integrate, require_int
 
 NORMALIZATION_TOL = 1e-10
 
@@ -131,11 +131,13 @@ def seeded_draw(seed: int, draw, what: str):
     Draws from the PCG64 stream SeedSequence(seed, spawn_key=(attempt,))
     for attempt = 0, 1, ...; draw returns None for a degenerate draw,
     which moves on to the next attempt.  Raises ValueError, naming
-    `what`, after MAX_REDRAWS attempts.
+    `what`, after MAX_REDRAWS attempts, and when seed is a bool or not
+    an integer.
     """
+    seed = require_int(seed, "seed")
     for attempt in range(MAX_REDRAWS):
         rng = np.random.default_rng(
-            np.random.SeedSequence(int(seed), spawn_key=(attempt,))
+            np.random.SeedSequence(seed, spawn_key=(attempt,))
         )
         values = draw(rng)
         if values is not None:

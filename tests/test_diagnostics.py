@@ -150,6 +150,11 @@ class TestRefinementStudy:
         with pytest.raises(ValueError, match="eps0 / 2\\^1100 of eps0 = 0.1 is not positive"):
             refinement_study(model, uniform, eps0=0.1, pairs=1100)
 
+    @pytest.mark.parametrize("pairs", [1.5, 2.0, True])
+    def test_pairs_that_are_not_an_integer_refused(self, model, uniform, pairs):
+        with pytest.raises(ValueError, match="pairs must be an integer"):
+            refinement_study(model, uniform, eps0=0.1, pairs=pairs)
+
     def test_solver_failure_fails_the_study(self, model, uniform, fail_payoff_solve):
         fail_payoff_solve(3)
         with pytest.raises(StudyError, match="level 0 .* solver_failed"):

@@ -171,9 +171,9 @@ class TestSelectFarthest:
         v = flow._distance_field(grid, theta, gap)
         assert not v.values[m.values > 0.0].any()
         model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
-        cut = flow._cut(m, theta, v, model)
+        selection, _ = flow._cut(m, theta, v, model)
         alone = select_farthest(m, v, 0.01, income=theta)
-        far_minus, far_plus, _ = select_farthest(m, v, 0.01, income=theta, cut=cut)
+        far_minus, far_plus, _ = select_farthest(m, v, 0.01, income=theta, cut=selection)
         low_minus, low_plus, _ = select_lowest_income(m, theta, 0.01)
         assert np.flatnonzero(far_minus.values).tolist() == [10]
         assert integrate(far_minus.values, grid) == pytest.approx(0.01, abs=1e-15)
@@ -241,7 +241,7 @@ class TestRedistribute:
             redistribute(field(grid, np.zeros(grid.shape)), theta, model, 1.5)
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.1])
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
 def test_moves_of_no_mass_rejected(grid, uniform, eps):
     theta = field(grid, grid.axes[0])
     model = ModelSpec.linear(mu=0.1, P=0.5, f=2.0)
@@ -327,6 +327,16 @@ class TestRunFlow:
                 FlowConfig(fixed_eps=fixed_eps)
         with pytest.raises(ValueError, match="max_outer must be at least 1"):
             FlowConfig(max_outer=0)
+        # a bool is not a step size, a tolerance or a count, and a
+        # fractional cap is not truncated
+        for name in ("eps0", "fixed_eps", "tau"):
+            for flag in (True, np.bool_(True)):
+                with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
+                    FlowConfig(**{name: flag})
+        for max_outer in (True, np.bool_(True), 2.5, 3.0):
+            with pytest.raises(ValueError, match="max_outer must be an integer"):
+                FlowConfig(max_outer=max_outer)
+        assert FlowConfig(max_outer=np.int64(3)).max_outer == 3
 
     def test_equilibrium_start_takes_no_steps(self, grid, uniform):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=2.0)
@@ -626,7 +636,7 @@ class TestCut:
     def test_cut_matches_plan_free_calls(self, name):
         m, theta, v, model, eps0 = cut_case(name)
         grid = m.grid
-        cut = flow._cut(m, theta, v, model)
+        selection, plateau = flow._cut(m, theta, v, model)
         if v is None:
             select, key, descending, tiebreak = select_lowest_income, theta, False, None
             sources = (m, theta)
@@ -643,7 +653,7 @@ class TestCut:
 
         def check_selection(eps):
             plan_free = select(*sources, eps, **kwargs)
-            cached = select(*sources, eps, cut=cut, **kwargs)
+            cached = select(*sources, eps, cut=selection, **kwargs)
             weights, eta = comparison_slice(
                 grid.quad_weights * m.values, key.values, eps, descending, tiebreak_values
             )
@@ -653,7 +663,7 @@ class TestCut:
 
         def check_plateau(m_plus, eps):
             plan_free = outcome(redistribute, m_plus, theta, model, eps)
-            cached = outcome(redistribute, m_plus, theta, model, eps, cut=cut)
+            cached = outcome(redistribute, m_plus, theta, model, eps, cut=plateau)
             if isinstance(cached, type):  # both report the same shortfall
                 assert cached is plan_free is RedistributionShortfallError
                 return None
@@ -702,7 +712,7 @@ class TestCut:
             m_minus = check_selection(eps)[0].values
             assert np.abs(m_minus - m.values).max() <= 1e-9 * m.values.max()
 
-        m_plus = select(*sources, eps0, cut=cut, **kwargs)[1]
+        m_plus = select(*sources, eps0, cut=selection, **kwargs)[1]
         height = np.maximum(base - m_plus.values, 0.0)
         mass = grid.quad_weights * height
         (low, whole, over), run = ends_of_order(mass, theta.values, True)
@@ -719,14 +729,29 @@ class TestCut:
     def test_cut_of_another_iterate_rejected(self, grid, uniform):
         model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
         theta = solve_payoff(model, uniform)
-        cut = flow._cut(uniform, theta, None, model)
+        selection, plateau = flow._cut(uniform, theta, None, model)
         other = field(grid, theta.values.copy())
         with pytest.raises(ValueError, match="another iterate"):
-            select_lowest_income(uniform, other, 0.1, cut=cut)
+            select_lowest_income(uniform, other, 0.1, cut=selection)
         with pytest.raises(ValueError, match="another iterate"):
-            redistribute(uniform, other, model, 0.1, cut=cut)
+            redistribute(uniform, other, model, 0.1, cut=plateau)
         with pytest.raises(ValueError, match="another iterate"):
-            select_farthest(uniform, theta, 0.1, income=theta, cut=cut)
+            select_farthest(uniform, theta, 0.1, income=theta, cut=selection)
+
+    def test_part_of_the_wrong_kind_rejected(self, grid, uniform):
+        # the selections take the cut's selection part, redistribute its
+        # plateau part; the other part, or the whole pair, is refused
+        model = ModelSpec.linear(mu=0.1, P=0.5, f=4.0 * grid.axes[0])
+        theta = solve_payoff(model, uniform)
+        cut = selection, plateau = flow._cut(uniform, theta, None, model)
+        for wrong in (plateau, cut):
+            with pytest.raises(TypeError, match="cut must be a _Selection"):
+                select_lowest_income(uniform, theta, 0.1, cut=wrong)
+            with pytest.raises(TypeError, match="cut must be a _Selection"):
+                select_farthest(uniform, theta, 0.1, income=theta, cut=wrong)
+        for wrong in (selection, cut):
+            with pytest.raises(TypeError, match="cut must be a _Plateau"):
+                redistribute(uniform, theta, model, 0.1, cut=wrong)
 
     @pytest.mark.parametrize(
         "name", ["1d-ties", "2d-ties", "1d-constant", "2d-constant", "1d-distinct"]
@@ -755,9 +780,9 @@ class TestCut:
             monkeypatch.setattr(flow, helper, recorded(getattr(flow, helper)))
         parts = {"income": [], "distance": [], "plateau": []}
         for kind, v_or_none in (("income", None), ("distance", v)):
-            cut = flow._cut(m, theta, v_or_none, model)
-            parts[kind].append(cut.selection)
-            parts["plateau"].append(cut.plateau)
+            selection, plateau = flow._cut(m, theta, v_or_none, model)
+            parts[kind].append(selection)
+            parts["plateau"].append(plateau)
         select_lowest_income(m, theta, 0.1)
         parts["income"].append(built[-1])
         select_farthest(m, v, 0.1, income=theta)

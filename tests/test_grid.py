@@ -31,15 +31,24 @@ def test_default_resolutions():
     assert make_grid(2).n == 100
 
 
-@pytest.mark.parametrize("n", [0, 1, -3])
+@pytest.mark.parametrize("n", [0, 1, -3, 2.7, 1000.9, 3.0, True])
 def test_rejects_tiny_grids(n):
+    # a float or a bool is refused, not truncated to an interval count
     with pytest.raises(ValueError):
         make_grid(1, n)
 
 
 def test_rejects_bad_dim():
-    with pytest.raises(ValueError):
-        make_grid(3, 10)
+    for dim in (3, True, 1.0, np.bool_(True)):
+        with pytest.raises(ValueError):
+            make_grid(dim, 10)
+
+
+def test_grids_compare_and_hash_by_dim_and_n():
+    grid = make_grid(1, 10)
+    assert grid == make_grid(1, 10) and hash(grid) == hash(make_grid(1, np.int64(10)))
+    assert grid != make_grid(1, 11) and grid != make_grid(2, 10)
+    assert len({grid, make_grid(1, 10), make_grid(2, 10)}) == 2
 
 
 def test_1d_weights_sum_to_one():

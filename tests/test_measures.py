@@ -166,6 +166,16 @@ class TestSeededDraw:
         assert value == third.random()
         assert len(set(attempts)) == 3
 
+    @pytest.mark.parametrize("seed", [1.7, 1.0, True])
+    def test_seeds_that_are_not_an_integer_refused(self, seed):
+        # a seed is not truncated: 1.7 would draw seed 1's stream, and
+        # stress_test would report it as seed 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            seeded_draw(seed, lambda rng: rng.random(), "test draw")
+        assert seeded_draw(np.int64(5), lambda rng: rng.random(), "test draw") == (
+            seeded_draw(5, lambda rng: rng.random(), "test draw")
+        )
+
     def test_gives_up_after_max_redraws(self):
         calls = []
         with pytest.raises(ValueError, match=f"no usable test draw after {MAX_REDRAWS}"):
